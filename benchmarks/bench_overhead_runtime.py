@@ -8,7 +8,7 @@ Also gates the observability layer's own overhead: span tracing must
 cost under a few percent of wall time when on, and exactly zero span
 allocations when off.  The physical telemetry plane gets the same
 treatment: telemetry on must stay within a few percent of wall time,
-and telemetry off must allocate no buffers and ship bare acks.
+and telemetry off must allocate no telemetry store.
 """
 
 import statistics
@@ -128,26 +128,25 @@ def test_telemetry_overhead(report):
     real run) x (measured per-record cost) / (run wall time); the raw
     A/B ratio is reported but only loosely bounded (shared-runner
     noise)."""
-    from repro.obs.phys import PhysTelemetry, TelemetryBuffer
+    from repro.obs.phys import PhysTelemetry
 
     _timed_gemm_telemetry(True)  # warm imports and caches off the clock
 
-    buffers_before = TelemetryBuffer.allocated
     stores_before = PhysTelemetry.allocated
     off = _timed_gemm_telemetry(False)
-    assert TelemetryBuffer.allocated == buffers_before   # off: no buffers
     assert PhysTelemetry.allocated == stores_before      # off: no stores
 
     on = _timed_gemm_telemetry(True)
     assert PhysTelemetry.allocated > stores_before       # on: store exists
 
-    # Per-record cost, measured on a live buffer.
-    buf = TelemetryBuffer("bench")
+    # Per-record cost, measured on the inline kernel path's recorder.
+    store = PhysTelemetry(backend="bench")
     n = 100_000
     t0 = time.perf_counter()
     for i in range(n):
-        buf.record("kernel", i, i + 1, i, 0)
+        store.note_inline("main", "kernel", i, i + 1)
     record_cost = (time.perf_counter() - t0) / n
+    store.close()
 
     # How many records a real run takes: count them on an instrumented
     # system kept open past its run.

@@ -359,8 +359,8 @@ class GemmApp(NorthupProgram):
         sys_ = ctx.system
         gpu = ctx.get_device(ProcessorKind.GPU)
 
-        # The kernel is a picklable spec over buffer bindings, so any
-        # compute backend (inline, threaded, shm pool) can run it; C is
+        # The kernel is a spec over buffer bindings, so either compute
+        # backend (inline or threaded) can run it; C is
         # an ``update`` binding because the block accumulates into it.
         label = f"gemm {lv.m}x{lv.k}x{lv.n}"
         sys_.launch(gpu, gemm_cost(lv.m, lv.k, lv.n),

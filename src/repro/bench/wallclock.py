@@ -18,8 +18,8 @@ scheduler:
   deterministically.
 * **compute backends** -- the :mod:`repro.exec.bench` sweep: one
   large-staging GEMM per ``(backend, workers)`` point, asserting
-  byte-identical results and bit-identical makespans across inline /
-  threaded / shared-memory pools before reporting wall-clock speedups.
+  byte-identical results and bit-identical makespans across the inline
+  and threaded executors before recording their wall times.
   ``REPRO_WALLCLOCK_SCALE=ci`` shrinks this sweep for shared runners.
 
 Virtual results must not move: the bench asserts bit-identical makespans
@@ -170,9 +170,8 @@ def run_bench(workers: int | None = None, *,
 
     # The compute-backend sweep runs sequentially after the app fan-out
     # (its wall-clock points need the machine to themselves).  It
-    # asserts its own invariants: byte-identical results, bit-identical
-    # makespans, no shm residue, and the >= 2x shm-over-inline floor on
-    # 4+ core hosts.
+    # asserts its own invariants: byte-identical results and
+    # bit-identical makespans.
     backends = exec_bench.run_sweep(scale_name or exec_bench.pick_scale())
 
     result = {

@@ -147,8 +147,8 @@ class System:
     executor:
         Compute backend for :meth:`launch` kernel specs
         (:mod:`repro.exec`): an :class:`~repro.exec.base.Executor`
-        instance, a backend name (``"inline"``, ``"threaded"``,
-        ``"shm"``), or ``None`` for the default in-process
+        instance, a backend name (``"inline"``, ``"threaded"``), or
+        ``None`` for the default
         :class:`~repro.exec.inline.InlineExecutor` (behaviour-identical
         to the pre-executor runtime).  Virtual time is charged on the
         simulator thread under every backend, so makespans and traces
@@ -204,9 +204,6 @@ class System:
         if executor is None:
             executor = InlineExecutor()
         elif isinstance(executor, str):
-            # Telemetry must be decided before the backend forks its
-            # worker pool (the worker side buffers only when told at
-            # spawn), so it rides into the factory.
             executor = make_executor(executor, telemetry=telemetry)
         #: The compute backend kernel specs dispatch through.
         self.executor: Executor = executor

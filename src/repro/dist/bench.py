@@ -1,26 +1,21 @@
 """The distributed-scaling bench: shard one plan, scale the workers.
 
-Three sections, written as ``BENCH_distributed.json`` by
+Two sections, written as ``BENCH_distributed.json`` by
 ``benchmarks/bench_distributed_scaling.py`` (or printed by
 ``python -m repro dist-bench``):
 
 * **equivalence** -- every paper app under
-  :class:`~repro.dist.runner.DistributedScheduler` +
-  :class:`~repro.dist.executor.DistExecutor` at each worker count,
-  asserted **byte-identical** (result sha256) and **bit-identical**
-  (virtual makespan, trace-interval count) to the single-process
-  in-order inline run.  Network disabled: this is the correctness
-  contract, not the scaling story.
+  :class:`~repro.dist.runner.DistributedScheduler` at each partition
+  count, asserted **byte-identical** (result sha256) and
+  **bit-identical** (virtual makespan, trace-interval count) to the
+  in-order run.  Network disabled: this is the correctness contract,
+  not the scaling story.
 * **scaling** -- the virtual worker-count curve: each app runs once
   under ``InOrderScheduler(keep_plans=True)``, then
   :func:`~repro.dist.model.project_run` re-schedules the measured
   per-node costs onto 1..N worker lanes over the ``loopback``
   :class:`~repro.memory.network.NetworkChannel`.  Deterministic --
   no timing, safe to gate.
-* **wallclock** -- real seconds for the distributed GEMM at each
-  worker count vs the inline reference.  The sweep clamps to
-  :func:`~repro.exec.base.effective_cpu_count` and records a
-  ``"skipped_reason"`` instead of reporting 1-core "speedups".
 """
 
 from __future__ import annotations
@@ -29,13 +24,11 @@ import argparse
 import hashlib
 import json
 import os
-from time import perf_counter
 
 import numpy as np
 
 from repro.core.scheduler import InOrderScheduler
 from repro.core.system import System
-from repro.dist.executor import DistExecutor, dist_residue
 from repro.dist.model import project_run
 from repro.dist.runner import DistributedScheduler
 from repro.errors import ConfigError
@@ -45,15 +38,13 @@ from repro.topology.builders import apu_two_level
 
 #: Scale knobs.  ``ci`` keeps every section to seconds on a shared
 #: runner; ``full`` is the committed configuration.  ``eq_workers`` is
-#: the worker ladder of the equivalence section, ``ladder`` the
-#: projected scaling curve, ``wall_workers`` the wall-clock sweep
-#: (clamped to the usable core count at run time).
+#: the partition ladder of the equivalence section, ``ladder`` the
+#: projected scaling curve.
 SCALES: dict[str, dict] = {
-    "ci": dict(eq_workers=(2,), ladder=(1, 2, 4), wall_workers=(2,),
+    "ci": dict(eq_workers=(2,), ladder=(1, 2, 4),
                channel="loopback", strategy="chunk"),
     "full": dict(eq_workers=(2, 4), ladder=(1, 2, 4, 8),
-                 wall_workers=(1, 2, 4), channel="loopback",
-                 strategy="chunk"),
+                 channel="loopback", strategy="chunk"),
 }
 
 
@@ -103,40 +94,33 @@ APP_CASES = {
 }
 
 
-def _run_app(name: str, *, executor=None, scheduler=None):
-    """One app run; returns ``(digest, makespan, intervals, wall_s)``.
-
-    ``executor`` instances are caller-owned and closed here.
-    """
+def _run_app(name: str, *, executor: str | None = None, scheduler=None):
+    """One app run on a backend name (``None`` = inline); returns
+    ``(digest, makespan, intervals)``."""
     make_app, make_tree = APP_CASES[name]
     sys_ = System(make_tree(), executor=executor)
     try:
-        t0 = perf_counter()
         app = make_app(sys_)
         app.run(sys_, scheduler=scheduler)
-        wall = perf_counter() - t0
         digest = hashlib.sha256(
             np.ascontiguousarray(app.result()).tobytes()).hexdigest()
-        return digest, sys_.makespan(), len(sys_.timeline.trace), wall
+        return digest, sys_.makespan(), len(sys_.timeline.trace)
     finally:
         sys_.close()
-        if executor is not None:
-            executor.close()
 
 
 # -- sections ----------------------------------------------------------------
 
 def run_equivalence(scale: dict) -> dict:
-    """Distributed vs single-process in-order, every app, every worker
-    count: byte-identical and bit-identical or it raises."""
+    """Distributed vs in-order, every app, every partition count:
+    byte-identical and bit-identical or it raises."""
     rows = []
     for name in sorted(APP_CASES):
-        ref_digest, ref_makespan, ref_intervals, _ = _run_app(name)
+        ref_digest, ref_makespan, ref_intervals = _run_app(name)
         for workers in scale["eq_workers"]:
-            sched = DistributedScheduler(strategy=scale["strategy"])
-            digest, makespan, intervals, _ = _run_app(
-                name, executor=DistExecutor(workers=workers),
-                scheduler=sched)
+            sched = DistributedScheduler(workers=workers,
+                                         strategy=scale["strategy"])
+            digest, makespan, intervals = _run_app(name, scheduler=sched)
             assert digest == ref_digest, (
                 f"{name} x{workers} distributed changed the result bytes")
             assert makespan == ref_makespan, (
@@ -154,15 +138,12 @@ def run_equivalence(scale: dict) -> dict:
                 "trace_identical": True,
                 "meta": {"partitioning": parts.stats()},
             })
-    residue = dist_residue()
-    assert not residue, f"leaked dist worker processes: {residue}"
     return {
         "apps": sorted(APP_CASES),
         "worker_counts": list(scale["eq_workers"]),
         "cases": rows,
         "results_identical": True,
         "virtual_time_identical": True,
-        "dist_residue_clean": True,
     }
 
 
@@ -192,49 +173,12 @@ def run_scaling(scale: dict) -> dict:
     }
 
 
-def run_wallclock(scale: dict) -> dict:
-    """Real seconds for the distributed GEMM vs inline, clamped to the
-    usable core count (satellite: no misleading 1-core speedups)."""
-    from repro.exec.base import effective_cpu_count
-
-    cores = effective_cpu_count()
-    requested = tuple(scale["wall_workers"])
-    swept = tuple(w for w in requested if w <= cores) or (1,)
-    skipped = tuple(w for w in requested if w not in swept)
-    _, _, _, ref_wall = _run_app("gemm")
-    rows = [{"backend": "inline", "workers": 1,
-             "wall_s": round(ref_wall, 6)}]
-    for workers in swept:
-        _, _, _, wall = _run_app(
-            "gemm", executor=DistExecutor(workers=workers),
-            scheduler=DistributedScheduler(strategy=scale["strategy"]))
-        rows.append({"backend": "dist", "workers": workers,
-                     "wall_s": round(wall, 6)})
-    best = min((r for r in rows if r["backend"] == "dist"),
-               key=lambda r: r["wall_s"])
-    speedup = round(ref_wall / best["wall_s"], 2) if cores >= 2 else None
-    payload = {
-        "case": "gemm 128x128x128, staging 256KB",
-        "cases": rows,
-        "best_dist_speedup": speedup,
-        "meta": {"cores": cores},
-    }
-    if skipped or cores < 2:
-        clamped = (f"worker counts {list(skipped)} skipped"
-                   if skipped else "speedup suppressed")
-        payload["skipped_reason"] = (
-            f"{clamped}: only {cores} usable core(s) "
-            f"(swept {list(swept)} of requested {list(requested)})")
-    return payload
-
-
 def run_bench(scale_name: str) -> dict:
     scale = SCALES[scale_name]
     return {
         "scale": scale_name,
         "equivalence": run_equivalence(scale),
         "scaling": run_scaling(scale),
-        "wallclock": run_wallclock(scale),
     }
 
 
@@ -243,7 +187,7 @@ def format_table(payload: dict) -> str:
     lines = [
         f"distributed equivalence ({len(eq['cases'])} cases, workers "
         f"{eq['worker_counts']}): results byte-identical, makespans "
-        f"bit-identical, no worker residue",
+        f"bit-identical",
         "",
         f"projected scaling over {payload['scaling']['channel']['name']} "
         f"({payload['scaling']['strategy']} partitions):",
@@ -257,13 +201,6 @@ def format_table(payload: dict) -> str:
                 f"{name:<9} {row['workers']:>7d} {row['makespan_s']:>12.6f} "
                 f"{row['speedup']:>8.2f} {row['shipments']:>6d} "
                 f"{row['net_s']:>10.6f}")
-    wc = payload["wallclock"]
-    best = wc["best_dist_speedup"]
-    best = f"{best}x over inline" if best is not None else "n/a on this host"
-    lines += ["", f"wall-clock ({wc['case']}, "
-                  f"{wc['meta']['cores']} cores): best dist {best}"]
-    if "skipped_reason" in wc:
-        lines.append(f"note: {wc['skipped_reason']}")
     return "\n".join(lines)
 
 

@@ -1,25 +1,22 @@
-"""The distributed runner: one task graph sharded across worker
-processes over a modeled network level.
+"""The distributed runner: one task graph sharded into partitions over
+a modeled network level.
 
 :class:`DistributedScheduler` is a drop-in level executor
 (:mod:`repro.core.scheduler`): it partitions each lowered top-level
-graph (:func:`repro.plan.partition.partition_graph`), pins the
-system's :class:`~repro.dist.executor.DistExecutor` to a node's
-partition before dispatching it -- so every partition's *physical*
-kernels, including nested levels lowered inside its compute nodes, run
-in that partition's worker process -- and drains the graph in recorded
-program order.
+graph (:func:`repro.plan.partition.partition_graph`) into its own
+``workers`` count, tags every node with its partition, and drains the
+graph in recorded program order.  The partition is the abstraction;
+physical kernels run on whatever in-process executor the system has.
 
 Program order is the point, not a simplification: virtual time stays
-on the coordinator (the executor split's invariant), so an in-order
-drain performs exactly the charges single-process
+on the simulator thread (the executor split's invariant), so an
+in-order drain performs exactly the charges
 :class:`~repro.core.scheduler.InOrderScheduler` performs.  With the
 network level disabled the two are **bit-identical** -- same result
-bytes, same makespan, same trace shape -- while the physical kernels
-really did run in N processes.  The wall-clock win comes from the
-executor overlap; the *virtual* distributed-scaling story is the
-projection model (:mod:`repro.dist.model`), which re-schedules the
-measured per-node costs onto per-worker lanes.
+bytes, same makespan, same trace shape.  The *virtual*
+distributed-scaling story is the projection model
+(:mod:`repro.dist.model`), which re-schedules the measured per-node
+costs onto per-worker lanes.
 
 With a network channel enabled (explicitly, or attached to the tree
 via :meth:`~repro.topology.tree.TopologyTree.attach_network`), every
@@ -41,13 +38,13 @@ from repro.sim.trace import Phase
 
 
 class DistributedScheduler(Scheduler):
-    """Partition each top-level graph across pinned dist workers.
+    """Partition each top-level graph across ``workers`` partitions.
 
     Parameters
     ----------
     workers:
-        Partition count; defaults to the system executor's worker
-        count at drain time.
+        Partition count (required: the system's executor never
+        decides it).
     strategy:
         ``"chunk"`` (contiguous chunk ranges) or ``"tree"`` (one
         partition per device subtree, falling back to chunk ranges on
@@ -59,7 +56,7 @@ class DistributedScheduler(Scheduler):
         level disabled -- the bit-identical mode.
     """
 
-    def __init__(self, *, workers: int | None = None,
+    def __init__(self, *, workers: int,
                  strategy: str = "chunk", network=None,
                  keep_plans: bool = False) -> None:
         super().__init__(keep_plans=keep_plans)
@@ -71,8 +68,8 @@ class DistributedScheduler(Scheduler):
         self._active = False
 
     # Nested levels lower inside an outer compute node's thunk; they
-    # inherit the outer node's pin (the whole chunk chain belongs to
-    # one worker), so only the outermost drain partitions.
+    # belong to the outer node's partition (the whole chunk chain is
+    # one worker's), so only the outermost drain partitions.
 
     def _drain(self, plan) -> None:
         if self._active:
@@ -81,8 +78,7 @@ class DistributedScheduler(Scheduler):
         system = plan.ctx.system
         ex = system.executor
         graph = plan.graph
-        workers = self.workers or ex.workers
-        parts = partition_graph(graph, workers, strategy=self.strategy)
+        parts = partition_graph(graph, self.workers, strategy=self.strategy)
         self.partitionings.append(parts)
         graph.meta["partitioning"] = parts.stats()
         plan.divide_span.annotate("dist_partitions", parts.workers)
@@ -92,7 +88,6 @@ class DistributedScheduler(Scheduler):
         network = self.network
         if network is None:
             network = getattr(system.tree, "network", None)
-        pinnable = hasattr(ex, "pin")
         shipped: set[tuple[int, int]] = set()
         net_stats = {"shipments": 0, "bytes": 0, "seconds": 0.0}
         self._active = True
@@ -102,17 +97,12 @@ class DistributedScheduler(Scheduler):
                 if network is not None:
                     self._charge_shipments(plan, parts, node, part,
                                            network, shipped, net_stats)
-                if pinnable:
-                    ex.pin(part)
-                    ex.set_task_context(node_id=node.node_id,
-                                        partition=part)
+                ex.set_task_context(node_id=node.node_id)
                 plan.execute(node)
                 node.meta["partition"] = part
         finally:
             self._active = False
-            if pinnable:
-                ex.pin(None)
-                ex.set_task_context()
+            ex.set_task_context()
         if network is not None:
             graph.meta["network"] = dict(net_stats,
                                          channel=network.describe())

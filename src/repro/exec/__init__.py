@@ -12,13 +12,12 @@ from repro.exec.base import (Binding, EXEC_BACKENDS, ExecError, ExecStats,
                              resolve_kernel)
 from repro.exec.inline import InlineExecutor
 from repro.exec.ledger import MergeTarget, PendingLedger
-from repro.exec.shm import SharedMemExecutor, shm_residue
 from repro.exec.threaded import ThreadedExecutor
 
 __all__ = [
     "Binding", "EXEC_BACKENDS", "ExecError", "ExecStats", "Executor",
     "InlineExecutor", "KernelSpec", "MergeTarget", "PendingLedger",
-    "SharedMemExecutor", "TaskResult", "ThreadedExecutor",
-    "default_exec_workers", "effective_cpu_count", "fn_ref",
-    "kernel_spec", "make_executor", "resolve_kernel", "shm_residue",
+    "TaskResult", "ThreadedExecutor", "default_exec_workers",
+    "effective_cpu_count", "fn_ref", "kernel_spec", "make_executor",
+    "resolve_kernel",
 ]

@@ -9,16 +9,14 @@ bit-identical no matter which backend executes the NumPy work.  What an
 * :class:`~repro.exec.inline.InlineExecutor` -- in-process, in-place
   over zero-copy buffer views (the historical path, default);
 * :class:`~repro.exec.threaded.ThreadedExecutor` -- a thread pool for
-  GIL-releasing NumPy ops;
-* :class:`~repro.exec.shm.SharedMemExecutor` -- a persistent
-  ``multiprocessing`` worker pool passing operands through
-  ``multiprocessing.shared_memory`` segments.
+  GIL-releasing NumPy ops.
 
-Kernels dispatched this way are **picklable pure functions over buffer
-descriptors**: a :class:`KernelSpec` names a module-level function by
-``"module:qualname"`` reference and binds each argument to a window of
-a :class:`~repro.core.buffers.BufferHandle` (:class:`Binding`).  The
-asynchronous backends snapshot every binding's current bytes at submit
+Both run in the coordinator process.  Kernels dispatched this way are
+**pure functions over buffer descriptors**: a :class:`KernelSpec` names
+a module-level function by ``"module:qualname"`` reference and binds
+each argument to a window of a
+:class:`~repro.core.buffers.BufferHandle` (:class:`Binding`).  The
+asynchronous backend snapshots every binding's current bytes at submit
 time (inputs *and* outputs -- an ``inout`` accumulator like GEMM's C
 needs its prior contents) and merge writable snapshots back into the
 device buffers in **submission order**, the deterministic-merge rule of
@@ -40,15 +38,14 @@ from repro.errors import NorthupError
 
 
 class ExecError(NorthupError):
-    """An executor backend failed (worker death, kernel exception)."""
+    """An executor backend failed (unknown backend, kernel exception)."""
 
 
 def fn_ref(fn: Callable) -> str:
     """The ``"module:qualname"`` reference of a module-level function.
 
     Only module-level functions are acceptable kernel entry points: a
-    closure or method cannot be resolved by name inside a worker
-    process.
+    closure or method cannot be resolved by name.
     """
     module = getattr(fn, "__module__", None)
     qualname = getattr(fn, "__qualname__", None)
@@ -118,7 +115,7 @@ class Binding:
 
 @dataclass
 class KernelSpec:
-    """A picklable compute node: entry-point reference + bindings."""
+    """A compute node: entry-point reference + bindings."""
 
     fn_ref: str
     bindings: tuple[Binding, ...]
@@ -185,7 +182,7 @@ class Executor(abc.ABC):
     * tasks submitted in some order merge back in that order (the
       :class:`~repro.exec.ledger.PendingLedger` enforces it);
     * executors are context managers; :meth:`close` is idempotent and
-      reaps every pool resource (threads, processes, shared memory).
+      joins every pool thread.
     """
 
     name = "?"
@@ -199,33 +196,29 @@ class Executor(abc.ABC):
         self.closed = False
         #: Physical telemetry aggregator (:mod:`repro.obs.phys`), or
         #: ``None`` -- the default.  Strictly opt-in: when None, no
-        #: buffer is allocated anywhere and workers send bare acks.
+        #: telemetry object is allocated anywhere.
         self.telemetry = None
         if telemetry:
             self.enable_telemetry()
 
     def enable_telemetry(self) -> None:
         """Attach a :class:`~repro.obs.phys.PhysTelemetry` aggregator
-        (idempotent).  Must run before worker pools fork so the worker
-        side knows to buffer; backends therefore pass ``telemetry=``
-        at construction rather than calling this late."""
+        (idempotent)."""
         if self.telemetry is None:
             # Lazy import: repro.obs pulls in the reporting stack, and
             # the core imports this module at startup.
             from repro.obs.phys import PhysTelemetry
             self.telemetry = PhysTelemetry(backend=self.name)
 
-    def set_task_context(self, *, node_id: int = -1, partition: int = -1,
+    def set_task_context(self, *, node_id: int = -1,
                          span_id: int = 0) -> None:
-        """Attribution for subsequent submits: the task-graph node,
-        partition and virtual span telemetry records should carry.
-        Bare calls reset node/partition (the distributed runner's
-        convention) but keep the span -- the System re-pokes it per
+        """Attribution for subsequent submits: the task-graph node and
+        virtual span telemetry records should carry.  Bare calls reset
+        the node but keep the span -- the System re-pokes it per
         dispatch."""
         tel = self.telemetry
         if tel is not None:
             tel.current_node = node_id
-            tel.current_partition = partition
             if span_id:
                 tel.current_span = span_id
 
@@ -241,7 +234,7 @@ class Executor(abc.ABC):
         if the kernel raised."""
 
     def release(self, ticket: int) -> None:
-        """Return a waited ticket's resources (e.g. shm segments)."""
+        """Return a waited ticket's resources (its output arrays)."""
 
     def close(self) -> None:
         self.closed = True
@@ -286,10 +279,8 @@ def default_exec_workers() -> int:
 
 def make_executor(spec: str, workers: int | None = None, *,
                   telemetry: bool = False) -> "Executor":
-    """Build a backend by name: ``inline``, ``threaded``, ``shm`` or
-    ``dist``."""
+    """Build a backend by name: ``inline`` or ``threaded``."""
     from repro.exec.inline import InlineExecutor
-    from repro.exec.shm import SharedMemExecutor
     from repro.exec.threaded import ThreadedExecutor
 
     name = spec.strip().lower()
@@ -299,15 +290,10 @@ def make_executor(spec: str, workers: int | None = None, *,
         return InlineExecutor(telemetry=telemetry)
     if name == "threaded":
         return ThreadedExecutor(workers=workers, telemetry=telemetry)
-    if name in ("shm", "sharedmem", "shared-memory"):
-        return SharedMemExecutor(workers=workers, telemetry=telemetry)
-    if name in ("dist", "distributed"):
-        from repro.dist.executor import DistExecutor
-        return DistExecutor(workers=workers, telemetry=telemetry)
     raise ExecError(
-        f"unknown executor backend {spec!r}; known: inline, threaded, "
-        f"shm, dist")
+        f"unknown executor backend {spec!r}; known: "
+        f"{', '.join(EXEC_BACKENDS)}")
 
 
 #: Backend names ``make_executor`` accepts, canonical form.
-EXEC_BACKENDS = ("inline", "threaded", "shm", "dist")
+EXEC_BACKENDS = ("inline", "threaded")

@@ -2,21 +2,16 @@
 
 One large-staging GEMM (the most kernel-dense app) is run once per
 ``(backend, workers)`` point: the inline reference first, then the
-threaded and shared-memory pools at each worker count.  Two invariants
-are asserted on every point before any speedup is reported:
+threaded pool at each worker count.  Two invariants are asserted on
+every point:
 
 * **byte-identical results** -- ``sha256(C)`` matches the inline run;
 * **bit-identical virtual time** -- the makespan matches the inline
   run exactly (virtual charges stay on the simulator thread, so no
   backend may move them).
 
-Only the *wall-clock* column is allowed to differ.  The headline
-speedup (best shm point over inline) is asserted ``>= 2x`` only at
-``full`` scale on hosts with 4+ cores (and is only meaningful with
-BLAS pinned to one thread); on smaller machines or at ``ci`` scale the
-sweep still runs and records, but pool overhead on an oversubscribed
-core is not a regression.  After every shm run the bench checks that
-no ``/dev/shm`` segments leaked.
+Only the *wall-clock* column is allowed to differ; it is recorded,
+not gated.
 
 Run as ``python -m repro exec-bench`` or through
 ``benchmarks/bench_wallclock_scaling.py`` (which embeds the sweep as
@@ -47,11 +42,6 @@ SCALES: dict[str, dict] = {
     "full": dict(gemm=dict(m=1024, k=1024, n=1024, tile=256),
                  staging_mb=8, workers=(1, 2, 4), seed=3),
 }
-
-#: The acceptance bar: best shm point over inline, on 4+ core hosts.
-TARGET_SPEEDUP = 2.0
-#: Cores below which the speedup bar is recorded but not asserted.
-MIN_CORES_FOR_GATE = 4
 
 
 def pick_scale(name: str | None = None) -> str:
@@ -114,31 +104,23 @@ def run_case(backend: str, workers: int, scale: dict) -> dict:
         executor.close()
 
 
-def run_sweep(scale_name: str, *, backends: tuple[str, ...] | None = None
-              ) -> dict:
-    """The full sweep: inline reference plus every async point.
+def run_sweep(scale_name: str) -> dict:
+    """The full sweep: inline reference plus every threaded point.
 
     Returns the ``compute_backends`` payload.  Raises if any point's
-    result bytes or virtual makespan diverge from inline, if shm
-    segments leak, or (on 4+ core hosts) if the best shm point misses
-    :data:`TARGET_SPEEDUP` over inline.
+    result bytes or virtual makespan diverge from inline.
     """
     from repro.exec.base import effective_cpu_count
-    from repro.exec.shm import shm_residue
 
     scale = SCALES[scale_name]
-    if backends is None:
-        backends = ("threaded", "shm")
     # Sweeping more pool workers than this process can schedule on
     # measures contention, not scaling: clamp the ladder to the usable
-    # core count and record what was skipped rather than reporting a
-    # misleading "speedup".
+    # core count and record what was skipped.
     cores = effective_cpu_count()
     requested = tuple(scale["workers"])
     swept = tuple(w for w in requested if w <= cores) or (1,)
     skipped = tuple(w for w in requested if w not in swept)
-    points = [("inline", 1)]
-    points += [(b, w) for b in backends for w in swept]
+    points = [("inline", 1)] + [("threaded", w) for w in swept]
     rows = [run_case(b, w, scale) for b, w in points]
 
     ref = rows[0]
@@ -148,28 +130,6 @@ def run_sweep(scale_name: str, *, backends: tuple[str, ...] | None = None
         assert row["makespan_s"] == ref["makespan_s"], (
             f"{row['backend']}x{row['workers']} changed the virtual "
             f"makespan: {row['makespan_s']} != {ref['makespan_s']}")
-    residue = shm_residue()
-    assert not residue, f"leaked shared-memory segments: {residue}"
-
-    shm_rows = [r for r in rows if r["backend"] == "shm"]
-    best_shm = min(shm_rows, key=lambda r: r["wall_s"]) if shm_rows else None
-    # A "speedup" from a pool that never got a second core is noise,
-    # not a measurement -- report None instead.
-    if cores < 2:
-        best_shm = None
-    speedup = (ref["wall_s"] / best_shm["wall_s"]) if best_shm else 0.0
-    # The floor only arms at full scale (ci kernels are too small for
-    # pool overhead to amortise) on hosts with enough cores for the
-    # pool to actually run in parallel.  Pin BLAS to one thread
-    # (OPENBLAS_NUM_THREADS=1 etc.) when enforcing: a multi-threaded
-    # inline GEMM measures the BLAS pool, not the executor split.
-    gated = (cores >= MIN_CORES_FOR_GATE and best_shm is not None
-             and scale_name == "full")
-    if gated:
-        assert speedup >= TARGET_SPEEDUP, (
-            f"shm pool only {speedup:.2f}x over inline on the "
-            f"{scale['gemm']['m']}^3 GEMM with {cores} cores "
-            f"(target {TARGET_SPEEDUP}x)")
     g = scale["gemm"]
     payload = {
         "scale": scale_name,
@@ -178,24 +138,16 @@ def run_sweep(scale_name: str, *, backends: tuple[str, ...] | None = None
         "cases": rows,
         "results_identical": True,
         "virtual_time_identical": True,
-        "shm_residue_clean": True,
-        "best_shm_speedup": round(speedup, 2) if best_shm else None,
-        # Core count and the derived gate are machine facts, not bench
-        # invariants -- regress ignores "meta" subtrees.
-        "meta": {
-            "cores": cores,
-            "target_speedup": TARGET_SPEEDUP,
-            "speedup_gate_active": gated,
-        },
+        # The core count is a machine fact, not a bench invariant --
+        # regress ignores "meta" subtrees.
+        "meta": {"cores": cores},
     }
     # Only present on clamped hosts: the key's absence is the normal
     # shape, so full-core runs match the committed baselines exactly.
-    if skipped or cores < 2:
-        clamped = (f"worker counts {list(skipped)} skipped"
-                   if skipped else "speedup suppressed")
+    if skipped:
         payload["skipped_reason"] = (
-            f"{clamped}: only {cores} usable core(s) "
-            f"(swept {list(swept)} of requested {list(requested)})")
+            f"worker counts {list(skipped)} skipped: only {cores} usable "
+            f"core(s) (swept {list(swept)} of requested {list(requested)})")
     return payload
 
 
@@ -209,13 +161,7 @@ def format_table(payload: dict) -> str:
             f"{row['backend']:<9} {row['workers']:>7d} {row['wall_s']:>9.4f} "
             f"{row['kernels']:>8d} {row['dispatch_s']:>11.4f} "
             f"{row['merge_s']:>8.4f}")
-    gate = ("asserted" if payload["meta"]["speedup_gate_active"]
-            else f"not asserted (< {MIN_CORES_FOR_GATE} cores)")
-    best = payload["best_shm_speedup"]
-    best = f"{best}x over inline ({gate})" if best is not None \
-        else "n/a on this host"
-    lines.append(f"results byte-identical, makespans bit-identical; "
-                 f"best shm speedup {best}")
+    lines.append("results byte-identical, makespans bit-identical")
     if "skipped_reason" in payload:
         lines.append(f"note: {payload['skipped_reason']}")
     return "\n".join(lines)
@@ -225,19 +171,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro exec-bench",
         description="compute-backend scaling bench "
-                    "(inline vs threaded vs shared-memory pool)")
+                    "(inline vs threaded pool)")
     parser.add_argument("--scale", choices=sorted(SCALES), default=None,
                         help="bench scale (default: $REPRO_WALLCLOCK_SCALE "
                              "or 'full')")
-    parser.add_argument("--backends", default="threaded,shm",
-                        help="comma-separated async backends to sweep "
-                             "(default: threaded,shm)")
     parser.add_argument("--out", default=None,
                         help="also write the sweep payload as JSON")
     args = parser.parse_args(argv)
-    scale_name = pick_scale(args.scale)
-    backends = tuple(b for b in args.backends.split(",") if b)
-    payload = run_sweep(scale_name, backends=backends)
+    payload = run_sweep(pick_scale(args.scale))
     print(format_table(payload))
     if args.out:
         with open(args.out, "w") as fh:

@@ -87,10 +87,8 @@ class ThreadedExecutor(Executor):
         self.stats.bytes_out += sum(a.nbytes for a in outputs.values())
         tel = self.telemetry
         if tel is not None:
-            # Same process, same perf_counter: no clock pair needed.
-            tel.note_ack(f"t{worker}", ticket,
-                         records=[("kernel", t0, t1, ticket, nbytes)],
-                         phases={"kernel": dt}, seconds=dt)
+            tel.note_done(f"t{worker}", ticket,
+                          [("kernel", t0, t1, ticket, nbytes)])
         return TaskResult(worker=f"t{worker}", seconds=dt, outputs=outputs)
 
     def release(self, ticket):

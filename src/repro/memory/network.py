@@ -101,7 +101,7 @@ ETHERNET_10G = NetworkChannel(name="10gbe", bandwidth=1.25 * GB,
 #: use (matches the infiniband Link of ``two_node_cluster``).
 INFINIBAND_EDR = NetworkChannel(name="ib-edr", bandwidth=12 * GB,
                                 latency=1.5e-6, per_message=1e-6)
-#: Same-host worker processes (pipes over the memory bus); the default
+#: Same-host workers (messages over the memory bus); the default
 #: of the distributed bench's modeled curve.
 LOOPBACK = NetworkChannel(name="loopback", bandwidth=8 * GB,
                           latency=5e-6, per_message=1e-6)

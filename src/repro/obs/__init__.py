@@ -15,8 +15,7 @@ its results:
   against the committed ``BENCH_*.json`` baselines, plus SLO gating of
   ``/status`` snapshots.
 * :mod:`repro.obs.phys` -- the *physical* telemetry plane: per-worker
-  wall-clock sub-phase records piggybacked on completion acks,
-  NTP-style clock alignment, and merged Perfetto tracks next to the
+  wall-clock kernel records and merged Perfetto tracks next to the
   virtual timeline.
 * :mod:`repro.obs.live` + :mod:`repro.obs.health` -- the live serve
   status endpoint / ``repro top`` TUI, worker watchdog, and
@@ -24,7 +23,7 @@ its results:
 
 Everything is zero-cost when disabled: ``System(observe=False)``
 installs the shared null observer and no span objects are allocated;
-telemetry-off executors allocate no buffers and ship bare acks.
+telemetry-off executors allocate no telemetry store.
 Virtual makespans are bit-identical either way.
 
 ``phys``, ``live`` and ``health`` are intentionally *not* imported

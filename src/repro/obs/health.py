@@ -1,7 +1,7 @@
 """Worker health classification and declarative SLO gating.
 
 The physical telemetry plane (:mod:`repro.obs.phys`) timestamps every
-ack and heartbeat per worker; :class:`Watchdog` turns those liveness
+kernel completion per worker; :class:`Watchdog` turns those liveness
 instants into a health state -- ``healthy`` / ``slow`` / ``wedged`` --
 the serve status endpoint streams and operators alert on.
 
@@ -32,16 +32,15 @@ class WorkerHealth:
 
     worker: str
     state: str          # HEALTHY | SLOW | WEDGED
-    age_s: float        # seconds since the last ack/heartbeat
+    age_s: float        # seconds since the last completion
 
 
 class Watchdog:
     """Classify workers by the age of their last liveness signal.
 
     ``slow_after_s`` / ``wedged_after_s`` are absolute silence
-    thresholds; when the executor runs heartbeats (``heartbeat_s > 0``)
-    pass multiples of that interval instead so a long-running kernel
-    between beats is not misread as a hang.
+    thresholds: pick them above the longest expected kernel so a
+    long-running kernel is not misread as a hang.
     """
 
     def __init__(self, *, slow_after_s: float = 3.0,
@@ -55,8 +54,8 @@ class Watchdog:
 
     def classify(self, last_seen_ns: dict[str, int],
                  now_ns: int | None = None) -> dict[str, WorkerHealth]:
-        """``last_seen_ns`` is coordinator ``perf_counter_ns`` per
-        worker (:attr:`PhysTelemetry.last_seen_ns`)."""
+        """``last_seen_ns`` is ``perf_counter_ns`` per worker
+        (:attr:`PhysTelemetry.last_seen_ns`)."""
         now = perf_counter_ns() if now_ns is None else now_ns
         out = {}
         for worker, seen in sorted(last_seen_ns.items()):

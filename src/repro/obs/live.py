@@ -202,11 +202,6 @@ def render_top(status: dict) -> str:
                 f"{row.get('busy_s', 0.0):>9.3f} "
                 f"[{_bar(util, 14)}] {util:>5.1%} {state:>8}")
         lines.append("")
-    pool = status.get("shm_pool") or {}
-    if pool:
-        lines.append(f"shm pool: {pool.get('segments', 0)} segments "
-                     f"({pool.get('reused', 0)} reuses, "
-                     f"{pool.get('free', 0)} free)")
     return "\n".join(lines)
 
 

@@ -2,7 +2,7 @@
 
 The distributed runner (:mod:`repro.dist`) shards one level's
 :class:`~repro.plan.graph.TaskGraph` into N partitions -- one per
-worker process -- and realises edges that cross a partition boundary as
+worker -- and realises edges that cross a partition boundary as
 message-passing shipments over the modeled network level
 (:class:`~repro.memory.network.NetworkChannel`).  This module is the
 *static* half of that: deciding which node belongs to which partition,

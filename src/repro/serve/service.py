@@ -356,12 +356,6 @@ class JobService:
                 "stragglers": [],
             }
             out["health"] = {"workers": {}, "counts": {}}
-        pool = getattr(ex, "_pool", None)
-        if pool is not None and hasattr(pool, "created"):
-            out["shm_pool"] = {
-                "segments": pool.created, "reused": pool.reused,
-                "free": sum(len(b) for b in pool._free.values()),
-            }
         return out
 
     def start_status_server(self, port: int = 0):

@@ -266,7 +266,7 @@ def _print_exec() -> int:
 
     from repro.apps.gemm import GemmApp
     from repro.core.system import System
-    from repro.exec import EXEC_BACKENDS, make_executor, shm_residue
+    from repro.exec import EXEC_BACKENDS, make_executor
     from repro.memory.units import KB, MB
 
     print("compute backends (demo: gemm 128x128x128 per backend):")
@@ -308,9 +308,6 @@ def _print_exec() -> int:
         finally:
             system.close()
             executor.close()
-    residue = shm_residue()
-    print(f"\n  shared-memory residue after teardown: "
-          f"{residue if residue else 'none'}")
     return 0
 
 
@@ -319,7 +316,7 @@ def _print_dist() -> int:
     network and print the partitioning, boundary edges, shipment
     charges, and the channel presets."""
     from repro.core.system import System
-    from repro.dist import DistExecutor, DistributedScheduler, dist_residue
+    from repro.dist import DistributedScheduler
     from repro.memory.network import NETWORK_PRESETS
     from repro.memory.units import KB, MB
 
@@ -334,11 +331,10 @@ def _print_dist() -> int:
     tree = builders.apu_two_level(storage_capacity=8 * MB,
                                   staging_bytes=256 * KB)
     tree.attach_network(NETWORK_PRESETS["loopback"])
-    executor = DistExecutor(workers=2)
-    sched = DistributedScheduler(keep_plans=True)
-    system = System(tree, executor=executor)
+    sched = DistributedScheduler(workers=2, keep_plans=True)
+    system = System(tree)
     try:
-        print("\ndistributed demo (gemm 128x128x128, 2 workers, "
+        print("\ndistributed demo (gemm 128x128x128, 2 partitions, "
               "loopback network):")
         print(tree.render())
         app = GemmApp(system, m=128, k=128, n=128, seed=3)
@@ -356,37 +352,31 @@ def _print_dist() -> int:
                   f"{net['bytes']} payload bytes, "
                   f"{net['seconds'] * 1e6:.1f}us charged on "
                   f"{net['channel']['name']}")
-        print(f"  makespan {system.makespan():.6f}s (virtual); per-worker "
-              f"kernels: {dict(sorted(executor.stats.worker_tasks.items()))}")
+        print(f"  makespan {system.makespan():.6f}s (virtual)")
     except NorthupError as exc:
         print(f"dist demo failed: {exc}", file=sys.stderr)
         return 1
     finally:
         system.close()
-        executor.close()
-    residue = dist_residue()
-    print(f"  worker-process residue after teardown: "
-          f"{residue if residue else 'none'}")
     return 0
 
 
 def _print_phys() -> int:
-    """Run a small telemetry-on distributed GEMM and print the physical
-    plane: per-worker sub-phases, clock models, utilization, and the
-    watchdog's verdicts."""
+    """Run a small telemetry-on threaded GEMM and print the physical
+    plane: per-worker kernel time, utilization, and the watchdog's
+    verdicts."""
     from repro.core.system import System
-    from repro.dist import DistExecutor, DistributedScheduler, dist_residue
     from repro.obs.health import Watchdog
 
     from repro.apps.gemm import GemmApp
-    executor = DistExecutor(workers=2, telemetry=True)
-    system = System(builders.apu_two_level(), executor=executor)
+    system = System(builders.apu_two_level(), executor="threaded",
+                    telemetry=True)
     try:
-        print("physical telemetry demo (gemm 128x128x128, 2 workers, "
-              "telemetry on):")
+        print("physical telemetry demo (gemm 128x128x128, threaded "
+              "executor, telemetry on):")
         app = GemmApp(system, m=128, k=128, n=128, seed=3)
-        app.run(system, scheduler=DistributedScheduler())
-        tel = executor.telemetry
+        app.run(system)
+        tel = system.executor.telemetry
         summary = tel.summary()
         print(f"  backend {summary['backend']}: {summary['tasks']} "
               f"tasks, busy skew {summary['busy_skew']:.2f}x, "
@@ -395,26 +385,18 @@ def _print_phys() -> int:
             phases = "  ".join(f"{k}={v * 1e3:.3f}ms"
                                for k, v in sorted(st["phases"].items()))
             print(f"  {worker}: {st['tasks']} tasks, "
-                  f"util {st['utilization']:.1%}, "
-                  f"rss {st['rss_max_bytes'] // (1 << 20)} MiB | {phases}")
-        for worker, model in sorted(tel.clock_models().items()):
-            print(f"  clock {worker}: offset {model.offset_ns / 1e3:.1f}us, "
-                  f"drift {model.drift * 1e9:.1f}ppb "
-                  f"({model.samples} samples)")
+                  f"util {st['utilization']:.1%} | {phases}")
         verdicts = Watchdog().summary(tel.last_seen_ns)
         states = {w: h["state"] for w, h in verdicts["workers"].items()}
         print(f"  watchdog: {states} (counts {verdicts['counts']})")
         merger = tel.merger()
-        print(f"  merged trace: {len(merger.aligned())} aligned records, "
+        print(f"  merged trace: {len(merger.records())} records, "
               f"{len(merger.kernel_anchors())} span-attributed kernels")
     except NorthupError as exc:
         print(f"phys demo failed: {exc}", file=sys.stderr)
         return 1
     finally:
         system.close()
-        executor.close()
-    residue = dist_residue()
-    print(f"  residue after teardown: {residue if residue else 'none'}")
     return 0
 
 
@@ -559,20 +541,20 @@ def main(argv: list[str] | None = None) -> int:
                              "queue state")
     parser.add_argument("--exec", action="store_true", dest="exec_",
                         help="run a small demo on every compute backend "
-                             "(inline, threaded, shm) and print executor "
+                             "(inline, threaded) and print executor "
                              "configs, worker occupancy, and the "
                              "cross-backend equivalence check")
     parser.add_argument("--dist", action="store_true",
                         help="run a small demo under the distributed "
-                             "scheduler (2 pinned worker processes, "
-                             "modeled loopback network) and print the "
+                             "scheduler (2 partitions, modeled loopback "
+                             "network) and print the "
                              "partitioning, boundary edges, shipment "
                              "charges, and channel presets")
     parser.add_argument("--phys", action="store_true",
-                        help="run a small telemetry-on distributed demo "
+                        help="run a small telemetry-on threaded demo "
                              "and print the physical plane: per-worker "
-                             "sub-phases, clock alignment, utilization, "
-                             "watchdog verdicts")
+                             "kernel time, utilization, watchdog "
+                             "verdicts")
     parser.add_argument("--experiment", action="store_true",
                         help="list the committed experiment scenarios, "
                              "registered cell runners, and the artifact "

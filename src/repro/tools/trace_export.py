@@ -84,10 +84,9 @@ def iter_chrome_events(trace: Trace, *, time_unit: float = 1e6,
     ``phys`` is a :class:`~repro.obs.phys.PhysTraceMerger` (or a
     :class:`~repro.obs.phys.PhysTelemetry`, promoted via ``merger()``):
     the physical plane joins the export as a third process -- one
-    wall-clock lane per worker with grant -> kernel -> ack flows -- and
-    every span-attributed physical kernel gets a flow arrow from the
-    virtual span's first interval into its physical slice, tying the
-    two clock domains together.
+    wall-clock lane per worker -- and every span-attributed physical
+    kernel gets a flow arrow from the virtual span's first interval
+    into its physical slice, tying the two clock domains together.
     """
     merger = phys
     if merger is not None and not hasattr(merger, "chrome_events"):

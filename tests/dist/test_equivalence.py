@@ -1,8 +1,8 @@
-"""The distributed bit-identity contract: every app, sharded across 2
-and 4 worker processes, byte-identical results and bit-identical
-virtual time vs the single-process in-order inline run -- and, with
-the network level enabled, unchanged results with shipments visible on
-the trace."""
+"""The distributed bit-identity contract: every app, sharded into 2 and
+4 partitions on every in-process executor, byte-identical results and
+bit-identical virtual time vs the in-order run -- and, with the network
+level enabled, unchanged results with shipments visible on the
+trace."""
 
 import hashlib
 
@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.system import System
-from repro.dist import DistExecutor, DistributedScheduler, dist_residue
+from repro.dist import DistributedScheduler
 from repro.dist.bench import APP_CASES, _run_app
+from repro.exec import EXEC_BACKENDS
 from repro.memory.network import NETWORK_PRESETS
 from repro.sim.trace import Phase
 
@@ -24,56 +25,63 @@ def _reference(name):
     return _REF_CACHE[name]
 
 
+@pytest.mark.parametrize("backend", EXEC_BACKENDS)
 @pytest.mark.parametrize("workers", [2, 4])
 @pytest.mark.parametrize("name", sorted(APP_CASES))
-def test_distributed_matches_single_process(name, workers):
-    ref_digest, ref_makespan, ref_intervals, _ = _reference(name)
-    digest, makespan, intervals, _ = _run_app(
-        name, executor=DistExecutor(workers=workers),
-        scheduler=DistributedScheduler())
+def test_distributed_matches_in_order(name, workers, backend):
+    ref_digest, ref_makespan, ref_intervals = _reference(name)
+    sched = DistributedScheduler(workers=workers)
+    digest, makespan, intervals = _run_app(name, executor=backend,
+                                           scheduler=sched)
     assert digest == ref_digest, (
-        f"{name} x{workers} distributed changed the result bytes")
+        f"{name} x{workers} on {backend} changed the result bytes")
     assert makespan == ref_makespan, (
-        f"{name} x{workers} distributed drifted virtual time: "
+        f"{name} x{workers} on {backend} drifted virtual time: "
         f"{makespan} != {ref_makespan}")
     assert intervals == ref_intervals, (
-        f"{name} x{workers} distributed changed the trace shape")
-    assert dist_residue() == []
+        f"{name} x{workers} on {backend} changed the trace shape")
+    # The partition count is the scheduler's, not the executor's (the
+    # inline executor has one worker): the identity above is not
+    # trivially a single-partition drain.
+    assert sched.partitionings[0].workers == workers
+
+
+def test_partition_count_is_required():
+    with pytest.raises(TypeError):
+        DistributedScheduler()
 
 
 def test_tree_strategy_keeps_identity():
     ref = _reference("gemm")
-    got = _run_app("gemm", executor=DistExecutor(workers=2),
-                   scheduler=DistributedScheduler(strategy="tree"))
-    assert got[:3] == ref[:3]
+    got = _run_app("gemm",
+                   scheduler=DistributedScheduler(workers=2, strategy="tree"))
+    assert got == ref
 
 
-def test_every_partition_ran_kernels():
+def test_every_partition_gets_nodes():
     make_app, make_tree = APP_CASES["gemm"]
-    executor = DistExecutor(workers=2)
-    sched = DistributedScheduler()
-    sys_ = System(make_tree(), executor=executor)
+    sched = DistributedScheduler(workers=2, keep_plans=True)
+    sys_ = System(make_tree())
     try:
-        app = make_app(sys_)
-        app.run(sys_, scheduler=sched)
-        assert sorted(executor.stats.worker_tasks) == ["w0", "w1"], (
-            "pinning starved a partition's worker of its kernels")
+        make_app(sys_).run(sys_, scheduler=sched)
         parts = sched.partitionings[0]
         assert parts.workers == 2
         assert all(parts.counts())
+        tagged = {node.meta["partition"]
+                  for node in sched.plans[0].graph.nodes}
+        assert tagged == {0, 1}
     finally:
         sys_.close()
-        executor.close()
 
 
-def test_network_level_charges_shipments_without_changing_results():
+@pytest.mark.parametrize("backend", EXEC_BACKENDS)
+def test_network_level_charges_shipments_without_changing_results(backend):
     make_app, make_tree = APP_CASES["gemm"]
     ref = _reference("gemm")
     tree = make_tree()
     tree.attach_network(NETWORK_PRESETS["loopback"])
-    executor = DistExecutor(workers=2)
-    sched = DistributedScheduler(keep_plans=True)
-    sys_ = System(tree, executor=executor)
+    sched = DistributedScheduler(workers=2, keep_plans=True)
+    sys_ = System(tree, executor=backend)
     try:
         app = make_app(sys_)
         app.run(sys_, scheduler=sched)
@@ -94,18 +102,19 @@ def test_network_level_charges_shipments_without_changing_results():
         assert meta["channel"]["name"] == "loopback"
     finally:
         sys_.close()
-        executor.close()
 
 
-def test_explicit_network_beats_tree_attachment():
+@pytest.mark.parametrize("backend", EXEC_BACKENDS)
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("name", sorted(APP_CASES))
+def test_explicit_network_charges_ib_edr_shipments(name, workers, backend):
     # DistributedScheduler(network=...) works without touching the
-    # topology -- and disabling it (no network anywhere) stays
-    # bit-identical, which the parametrized suite above pins down.
-    ref = _reference("hotspot")
-    make_app, make_tree = APP_CASES["hotspot"]
-    executor = DistExecutor(workers=2)
-    sched = DistributedScheduler(network=NETWORK_PRESETS["ib-edr"])
-    sys_ = System(make_tree(), executor=executor)
+    # topology; result bytes stay identical, the shipments show up.
+    ref = _reference(name)
+    make_app, make_tree = APP_CASES[name]
+    sched = DistributedScheduler(workers=workers,
+                                 network=NETWORK_PRESETS["ib-edr"])
+    sys_ = System(make_tree(), executor=backend)
     try:
         app = make_app(sys_)
         app.run(sys_, scheduler=sched)
@@ -117,4 +126,3 @@ def test_explicit_network_beats_tree_attachment():
         assert net and all("ib-edr" in iv.resource for iv in net)
     finally:
         sys_.close()
-        executor.close()

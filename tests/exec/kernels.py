@@ -1,7 +1,6 @@
-"""Module-level test kernels: picklable entry points the executor
-tests dispatch through every backend (worker processes resolve them by
-``module:qualname`` reference, so they cannot live inside test
-functions)."""
+"""Module-level test kernels: entry points the executor tests dispatch
+through every backend (executors resolve them by ``module:qualname``
+reference, so they cannot live inside test functions)."""
 
 import numpy as np
 
@@ -24,17 +23,3 @@ def scale_offset(block, *, factor):
 def boom(x):
     """A kernel that always fails."""
     raise RuntimeError("kernel exploded")
-
-
-def die(x):
-    """Hard-kill the worker process mid-kernel -- no exception, no ack,
-    just a torn pipe (the dist crash-handling tests)."""
-    import os
-    os._exit(13)
-
-
-def snooze(x, *, seconds):
-    """Sleep through the coordinator's join timeout (hung-worker
-    tests)."""
-    import time
-    time.sleep(seconds)

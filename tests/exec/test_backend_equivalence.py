@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.system import System
-from repro.exec import EXEC_BACKENDS, shm_residue
+from repro.exec import EXEC_BACKENDS
 from repro.memory.units import KB, MB
 from repro.topology.builders import apu_two_level
 from repro.workloads.sparse import powerlaw_rows
@@ -84,7 +84,6 @@ def test_backend_matches_inline(name, backend):
         f"{makespan} != {ref_makespan}")
     assert intervals == ref_intervals, (
         f"{name} under {backend!r} changed the trace shape")
-    assert shm_residue() == []
 
 
 def test_exec_metrics_recorded_for_async_run():
@@ -114,4 +113,3 @@ def test_serve_layer_matches_inline(backend):
                                    executor=backend)
     assert json.dumps(inline, sort_keys=True) == \
         json.dumps(other, sort_keys=True)
-    assert shm_residue() == []

@@ -1,12 +1,11 @@
 """The executor contract, exercised uniformly across every backend:
-submit/wait/release round trips, error propagation, lifecycle, and
-shared-memory hygiene."""
+submit/wait/release round trips, error propagation and lifecycle."""
 
 import numpy as np
 import pytest
 
 from repro.exec import (EXEC_BACKENDS, Binding, ExecError, fn_ref,
-                        kernel_spec, make_executor, shm_residue)
+                        kernel_spec, make_executor)
 from tests.exec import kernels
 
 AXPY = fn_ref(kernels.axpy)
@@ -105,21 +104,19 @@ def test_zero_size_arrays(executor):
     executor.release(ticket)
 
 
-def test_shm_leaves_no_residue_after_close():
-    ex = make_executor("shm", workers=2)
-    arrays = [np.zeros(1024, dtype=np.float32) for _ in range(4)]
-    tickets = [ex.submit(FILL, [("out", arr, True)], {"value": float(i)})
-               for i, arr in enumerate(arrays)]
-    for ticket in tickets:
-        ex.wait(ticket)
-        ex.release(ticket)
-    ex.close()
-    assert shm_residue() == []
-
-
 def test_make_executor_rejects_unknown_backend():
     with pytest.raises(ExecError):
         make_executor("cuda")
+
+
+def test_backends_are_in_process_only():
+    assert EXEC_BACKENDS == ("inline", "threaded")
+
+
+@pytest.mark.parametrize("removed", ["shm", "dist"])
+def test_removed_process_backends_name_the_known_ones(removed):
+    with pytest.raises(ExecError, match="known: inline, threaded$"):
+        make_executor(removed)
 
 
 # -- kernel_spec / fn_ref validation -----------------------------------------

@@ -28,7 +28,6 @@ def _doc(wedged=0):
             "w0": {"tasks": 5, "busy_s": 0.01, "utilization": 0.8}}},
         "health": {"workers": {"w0": {"state": "healthy", "age_s": 0.1}},
                    "counts": {"healthy": 1, "slow": 0, "wedged": wedged}},
-        "shm_pool": {"segments": 3, "reused": 7, "free": 2},
     }
 
 
@@ -83,7 +82,6 @@ def test_render_top_shows_every_section():
     assert STATUS_SCHEMA in frame and "policy=fair" in frame
     assert "2 live" in frame and "grants=99" in frame
     assert "acme" in frame and "w0" in frame and "healthy" in frame
-    assert "shm pool: 3 segments" in frame
     # Sparse docs render without blowing up.
     assert "policy=?" in render_top({})
 

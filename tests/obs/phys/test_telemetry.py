@@ -1,49 +1,20 @@
-"""The telemetry plane end-to-end: worker buffers fill, piggybacked
-payloads land keyed by ticket, sub-phases split out per backend,
-heartbeats keep idle workers visibly alive, and the residue audits
-flag leaked aggregators until the executor closes them."""
-
-import time
+"""The telemetry plane end-to-end: completions land keyed by ticket
+with their submit-time context, per-worker stats and stragglers add
+up, completions keep workers visibly alive, and the residue audit
+flags leaked aggregators until the executor closes them."""
 
 import numpy as np
 import pytest
 
-from repro.dist import DistExecutor, dist_residue
-from repro.exec import SharedMemExecutor, fn_ref, shm_residue
+from repro.exec import fn_ref
+from repro.exec.threaded import ThreadedExecutor
 from repro.obs.health import HEALTHY, Watchdog
-from repro.obs.phys import PhysTelemetry, TelemetryBuffer, telemetry_residue
+from repro.obs.phys import PhysTelemetry, telemetry_residue
 from tests.exec import kernels
 
 
 def _arr(value=0.0, n=256):
     return np.full(n, value, dtype=np.float32)
-
-
-# -- the buffer --------------------------------------------------------------
-
-def test_buffer_records_and_drains():
-    buf = TelemetryBuffer("w9")
-    buf.record("kernel", 10, 30, ticket=4, nbytes=1024)
-    buf.record("send", 30, 31, ticket=4, nbytes=128)
-    assert len(buf) == 2
-    records = buf.drain()
-    assert records == [("kernel", 10, 30, 4, 1024),
-                       ("send", 30, 31, 4, 128)]
-    assert len(buf) == 0
-    assert buf.drain() == []          # drain is destructive and safe
-
-
-def test_buffer_heartbeat_and_rss_are_instants():
-    buf = TelemetryBuffer("w0")
-    beat = buf.heartbeat()
-    buf.record_rss(ticket=7)
-    records = buf.drain()
-    kind, t0, t1, ticket, payload = records[0]
-    assert (kind, t0, t1, ticket, payload) == ("heartbeat", beat, beat,
-                                               -1, 0)
-    if len(records) > 1:              # rss needs /proc; 0 is skipped
-        kind, t0, t1, ticket, rss = records[1]
-        assert kind == "rss" and t0 == t1 and ticket == 7 and rss > 0
 
 
 # -- the aggregator ----------------------------------------------------------
@@ -52,22 +23,15 @@ def test_submit_context_joins_ack_payload_on_ticket():
     tel = PhysTelemetry(backend="test")
     tel.current_span = 42
     tel.current_node = 3
-    tel.current_partition = 1
     tel.note_submit(17)
-    tel.note_grant_sent(17, 1000)
-    # Context moves on before the ack returns; the join must not care.
+    # Context moves on before the completion lands; the join must not
+    # care.
     tel.current_span = 99
-    tel.note_ack("w1", 17, records=[("kernel", 1100, 1200, 17, 64)],
-                 clock=(1000, 1100, 1250, 1300),
-                 phases={"kernel": 1e-7}, seconds=1e-7, recv_ns=1300)
-    info = tel.tickets[17]
-    assert info["span"] == 42 and info["node"] == 3
-    assert info["partition"] == 1 and info["worker"] == "w1"
-    assert info["phases"] == {"kernel": 1e-7}
+    tel.note_done("t1", 17, [("kernel", 1100, 1200, 17, 64)])
+    assert tel.tickets[17] == {"span": 42, "node": 3}
     assert tel.span_of(17) == 42
-    assert tel.records["w1"] == [("kernel", 1100, 1200, 17, 64)]
-    assert tel.pairs["w1"] == [(1000, 1100, 1250, 1300)]
-    assert tel.last_seen_ns["w1"] == 1300
+    assert tel.records["t1"] == [("kernel", 1100, 1200, 17, 64)]
+    assert tel.last_seen_ns["t1"] > 0
     tel.close()
 
 
@@ -76,58 +40,55 @@ def test_note_inline_allocates_distinct_pseudo_tickets():
     t1 = tel.note_inline("main", "kernel", 0, 2_000_000, nbytes=10)
     t2 = tel.note_inline("main", "kernel", 2_000_000, 3_000_000)
     assert t1 < 0 and t2 < 0 and t1 != t2
-    assert tel.tickets[t1]["seconds"] == pytest.approx(2e-3)
-    assert len(tel.records["main"]) == 2
+    assert tel.records["main"] == [("kernel", 0, 2_000_000, t1, 10),
+                                   ("kernel", 2_000_000, 3_000_000, t2, 0)]
     tel.close()
 
 
 def test_worker_stats_and_straggler_summary():
     tel = PhysTelemetry(backend="test")
-    # w0 and w1 do one fast kernel each; w2 drags 10x longer.
+    # t0 and t1 do two fast kernels each; t2 drags 10x longer.
     ns = 1_000_000
-    for worker, dur in (("w0", 2 * ns), ("w1", 2 * ns), ("w2", 20 * ns)):
+    for worker, dur in (("t0", 2 * ns), ("t1", 2 * ns), ("t2", 20 * ns)):
         tel.records[worker] = [("kernel", 0, dur, 1, 0),
-                               ("send", dur, dur + ns // 10, 1, 0),
-                               ("rss", dur, dur, -1, 123456),
-                               ("heartbeat", dur, dur, -1, 0)]
+                               ("kernel", dur + ns, 2 * dur + ns, 2, 0)]
     stats = tel.worker_stats()
-    assert set(stats) == {"w0", "w1", "w2"}
-    w0 = stats["w0"]
-    assert w0["tasks"] == 1
-    assert w0["kernel_s"] == pytest.approx(2e-3)
-    assert w0["busy_s"] == pytest.approx(2.1e-3)
-    assert w0["rss_max_bytes"] == 123456
-    assert 0.0 < w0["utilization"] <= 1.0
-    assert set(w0["phases"]) == {"kernel", "send"}   # instants excluded
+    assert set(stats) == {"t0", "t1", "t2"}
+    t0 = stats["t0"]
+    assert t0["tasks"] == 2
+    assert t0["kernel_s"] == pytest.approx(4e-3)
+    assert t0["busy_s"] == pytest.approx(4e-3)
+    assert t0["window_s"] == pytest.approx(5e-3)
+    assert t0["utilization"] == pytest.approx(0.8)
+    assert set(t0["phases"]) == {"kernel"}
     summary = tel.summary()
     assert summary["backend"] == "test"
-    assert summary["tasks"] == 3
-    assert summary["stragglers"] == ["w2"]
-    assert summary["busy_skew"] == pytest.approx(
-        (20.1 * ns) / ((2.1 + 2.1 + 20.1) * ns / 3))
-    assert summary["phases"]["kernel"] == pytest.approx(24e-3)
+    assert summary["tasks"] == 6
+    assert summary["stragglers"] == ["t2"]
+    assert summary["busy_skew"] == pytest.approx(40 / ((4 + 4 + 40) / 3))
+    assert summary["phases"]["kernel"] == pytest.approx(48e-3)
     tel.close()
 
 
 def test_telemetry_residue_lifecycle():
-    tel = PhysTelemetry(backend="dist")
-    tel.records["w0"] = [("kernel", 0, 1, 1, 0)]
-    entries = telemetry_residue("dist")
-    assert entries == ["phys-telemetry(dist, records=1)"]
-    assert telemetry_residue("shm") == []            # backend-filtered
+    tel = PhysTelemetry(backend="threaded")
+    tel.records["t0"] = [("kernel", 0, 1, 1, 0)]
+    entries = telemetry_residue("threaded")
+    assert entries == ["phys-telemetry(threaded, records=1)"]
+    assert telemetry_residue("inline") == []         # backend-filtered
     tel.close()
-    assert telemetry_residue("dist") == []
+    assert telemetry_residue("threaded") == []
     # Data survives close for post-run analysis.
-    assert tel.records["w0"]
+    assert tel.records["t0"]
 
 
-# -- the dist backend --------------------------------------------------------
+# -- the threaded backend ---------------------------------------------------
 
-def test_dist_ack_carries_sub_phases_records_and_clock():
-    ex = DistExecutor(workers=2, telemetry=True)
+def test_threaded_completions_carry_kernel_records_and_context():
+    ex = ThreadedExecutor(workers=2, telemetry=True)
     try:
-        assert dist_residue() != []   # open aggregator is flagged...
-        ex.set_task_context(node_id=5, partition=1, span_id=77)
+        assert telemetry_residue("threaded") != []   # open store flagged...
+        ex.set_task_context(node_id=5, span_id=77)
         tickets = [ex.submit(fn_ref(kernels.fill),
                              [("out", _arr(), True)], {"value": float(i)})
                    for i in range(6)]
@@ -135,106 +96,32 @@ def test_dist_ack_carries_sub_phases_records_and_clock():
             ex.wait(t)
             ex.release(t)
         tel = ex.telemetry
-        # Sub-phases: every completed ticket reports the worker-side
-        # split, and the grant left before the ack came back.
-        done = [info for info in tel.tickets.values() if info["phases"]]
-        assert len(done) == len(tickets)
-        for info in done:
-            assert set(info["phases"]) == {"unpickle", "setup", "kernel"}
-            assert all(v >= 0.0 for v in info["phases"].values())
-            assert info["seconds"] >= info["phases"]["kernel"]
-            assert info["span"] == 77 and info["node"] == 5
         for ticket in tickets:
-            sent = tel.grant_sent[ticket]
-            assert sent < tel.tickets[ticket]["ack_recv_ns"]
-        # Records merged per worker; both workers saw work (round
-        # robin) and each contributed clock pairs for the fit.
-        assert set(tel.records) == {"w0", "w1"}
-        kinds = {r[0] for recs in tel.records.values() for r in recs}
-        assert {"unpickle", "setup", "kernel"} <= kinds
-        for worker in ("w0", "w1"):
-            assert tel.pairs[worker]
-            model = tel.clock_models()[worker]
-            assert model.samples == len(tel.pairs[worker])
+            assert tel.tickets[ticket] == {"span": 77, "node": 5}
+        assert all(w.startswith("t") for w in tel.records)
+        records = [r for recs in tel.records.values() for r in recs]
+        assert sorted(r[3] for r in records) == tickets
+        assert all(r[0] == "kernel" and r[1] <= r[2] for r in records)
         stats = tel.worker_stats()
         assert sum(w["tasks"] for w in stats.values()) == len(tickets)
-    finally:
-        ex.close()
-    assert dist_residue() == []       # ...and close retires it
-
-
-def test_dist_error_ack_still_reports_partial_phases():
-    ex = DistExecutor(workers=1, telemetry=True)
-    try:
-        ticket = ex.submit(fn_ref(kernels.boom),
-                           [("x", _arr(), False)], {})
-        with pytest.raises(Exception, match="exploded"):
-            ex.wait(ticket)
-        info = ex.telemetry.tickets[ticket]
-        assert info["phases"] is not None
-        assert "unpickle" in info["phases"]
-    finally:
-        ex.close()
-    assert dist_residue() == []
-
-
-def test_idle_dist_workers_heartbeat_and_classify_healthy():
-    ex = DistExecutor(workers=2, telemetry=True, heartbeat_s=0.05)
-    try:
-        # Prime: one task so workers exist in last_seen, then idle.
-        t = ex.submit(fn_ref(kernels.fill), [("out", _arr(), True)],
-                      {"value": 1.0})
-        ex.wait(t)
-        ex.release(t)
-        deadline = time.monotonic() + 5.0
-        tel = ex.telemetry
-        while time.monotonic() < deadline:
-            ex.poll()     # idle beats only land when the pipe is read
-            beats = [r for recs in tel.records.values() for r in recs
-                     if r[0] == "heartbeat"]
-            if len(beats) >= 2:
-                break
-            time.sleep(0.02)
-        assert len(beats) >= 2, "idle workers never heartbeat"
+        # Every worker that completed a kernel is fresh to the watchdog.
         health = Watchdog(slow_after_s=3.0, wedged_after_s=10.0) \
             .classify(tel.last_seen_ns)
-        assert set(health) == {"w0", "w1"}
+        assert set(health) == set(stats)
         assert all(h.state == HEALTHY for h in health.values())
     finally:
         ex.close()
-    assert dist_residue() == []
+    assert telemetry_residue("threaded") == []      # ...and close retires it
 
 
-def test_heartbeat_period_requires_telemetry():
-    ex = DistExecutor(workers=1, heartbeat_s=0.01)   # telemetry off
+def test_threaded_error_still_raises_with_telemetry():
+    ex = ThreadedExecutor(workers=1, telemetry=True)
     try:
-        assert ex.heartbeat_s == 0.0
-        assert ex.telemetry is None
+        ticket = ex.submit(fn_ref(kernels.boom), [("x", _arr(), False)], {})
+        with pytest.raises(Exception, match="exploded"):
+            ex.wait(ticket)
+        # Bound at submit; no record for a kernel that never finished.
+        assert ticket in ex.telemetry.tickets
+        assert ex.telemetry.records == {}
     finally:
         ex.close()
-
-
-# -- the shm backend ---------------------------------------------------------
-
-def test_shm_telemetry_reports_attach_and_kernel_phases():
-    ex = SharedMemExecutor(workers=2, telemetry=True)
-    try:
-        tickets = [ex.submit(fn_ref(kernels.scale_offset),
-                             [("block", _arr(2.0), True)],
-                             {"factor": 1.5})
-                   for _ in range(4)]
-        for t in tickets:
-            result = ex.wait(t)
-            np.testing.assert_allclose(result.outputs["block"],
-                                       _arr(3.0))
-            ex.release(t)
-        tel = ex.telemetry
-        kinds = {r[0] for recs in tel.records.values() for r in recs}
-        assert "kernel" in kinds and "attach" in kinds
-        assert sum(len(p) for p in tel.pairs.values()) == len(tickets)
-        for info in tel.tickets.values():
-            if info["phases"]:
-                assert "kernel" in info["phases"]
-    finally:
-        ex.close()
-    assert shm_residue() == []
