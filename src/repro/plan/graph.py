@@ -132,8 +132,13 @@ class TaskGraph:
     would have executed them), so ``graph.nodes`` is always a valid
     topological order -- the :class:`~repro.core.scheduler
     .InOrderScheduler` replays it directly.  Dynamic executors instead
-    drain the graph through :meth:`ready` / :meth:`mark_done`,
-    which maintain indegrees incrementally.
+    drain the graph through :meth:`ready` / :meth:`mark_done`.
+
+    Readiness is tracked incrementally: the graph keeps, per node, a
+    count of its predecessors that are not yet DONE, and the set of
+    PENDING nodes whose count is zero.  :meth:`is_ready` is O(1) and
+    :meth:`ready` costs what it returns, not a sweep of every node --
+    a serve run asks for the ready set once per grant.
     """
 
     def __init__(self, *, level: int = -1, tree_node: int = -1) -> None:
@@ -144,6 +149,10 @@ class TaskGraph:
         self.meta: dict[str, Any] = {}
         self._edges = 0
         self._done = 0
+        #: Per node id: predecessors not yet DONE.
+        self._waiting: list[int] = []
+        #: Ids of PENDING nodes whose predecessors are all DONE.
+        self._ready: set[int] = set()
 
     # -- construction ------------------------------------------------------
 
@@ -154,6 +163,8 @@ class TaskGraph:
                         level=self.level, tree_node=tree_node, label=label,
                         weight=weight)
         self.nodes.append(node)
+        self._waiting.append(0)
+        self._ready.add(node.node_id)
         return node
 
     def add_edge(self, src: TaskNode, dst: TaskNode,
@@ -179,25 +190,27 @@ class TaskGraph:
         src.succs[dst.node_id] = kind
         dst.preds[src.node_id] = kind
         self._edges += 1
+        if src.state != DONE:
+            self._waiting[dst.node_id] += 1
+            self._ready.discard(dst.node_id)
         return True
 
     # -- execution bookkeeping ---------------------------------------------
 
     def is_ready(self, node: TaskNode) -> bool:
         """Every predecessor executed, and the node not yet started."""
-        if node.state != PENDING:
-            return False
-        nodes = self.nodes
-        return all(nodes[p].state == DONE for p in node.preds)
+        return node.node_id in self._ready
 
     def ready(self) -> list[TaskNode]:
         """All dispatchable nodes, in program order."""
-        return [n for n in self.nodes if self.is_ready(n)]
+        nodes = self.nodes
+        return [nodes[i] for i in sorted(self._ready)]
 
     def mark_running(self, node: TaskNode) -> None:
         if not self.is_ready(node):
             raise SchedulerError(
                 f"{node!r} dispatched before its dependencies completed")
+        self._ready.remove(node.node_id)
         node.state = RUNNING
 
     def mark_done(self, node: TaskNode) -> None:
@@ -205,6 +218,11 @@ class TaskGraph:
             raise SchedulerError(f"{node!r} finished without being dispatched")
         node.state = DONE
         self._done += 1
+        waiting = self._waiting
+        for succ in node.succs:
+            waiting[succ] -= 1
+            if not waiting[succ]:
+                self._ready.add(succ)
 
     @property
     def complete(self) -> bool:

@@ -31,13 +31,24 @@ from repro.errors import SchedulerError
 
 
 class JobGate:
-    """Two-event baton handing control between a job thread and the
-    service loop.  All methods are called with the counterpart blocked,
-    so the shared fields need no locking."""
+    """Two-lock baton handing control between a job thread and the
+    service loop.
+
+    Each direction is a lock held while its side has nothing to say:
+    releasing ``_parked`` tells the service the job has parked (or
+    finished), releasing ``_go`` hands the job its grant, and each
+    waiter takes its lock back by acquiring it.  A plain lock may be
+    released by a thread other than its holder, which makes it the
+    cheapest one-shot signal the standard library offers.  All methods
+    are called with the counterpart blocked, so the shared fields need
+    no further locking.
+    """
 
     def __init__(self) -> None:
-        self._go = threading.Event()       # service -> job: execute grant
-        self._parked = threading.Event()   # job -> service: offered / done
+        self._go = threading.Lock()        # service -> job: execute grant
+        self._parked = threading.Lock()    # job -> service: offered / done
+        self._go.acquire()
+        self._parked.acquire()
         self.plan = None
         self.ready: list | None = None
         self.granted = None
@@ -51,9 +62,8 @@ class JobGate:
         the service granted."""
         self.plan = plan
         self.ready = ready
-        self._parked.set()
-        self._go.wait()
-        self._go.clear()
+        self._parked.release()
+        self._go.acquire()
         node = self.granted
         self.granted = None
         return node
@@ -64,20 +74,19 @@ class JobGate:
         self.error = error
         self.plan = None
         self.ready = None
-        self._parked.set()
+        self._parked.release()
 
     # -- service side -----------------------------------------------------
 
     def wait_parked(self) -> None:
         """Block until the job thread is parked at an offer or done."""
-        self._parked.wait()
-        self._parked.clear()
+        self._parked.acquire()
 
     def grant(self, node) -> None:
         """Wake the job thread to execute ``node`` (must be one of the
         nodes it offered)."""
         self.granted = node
-        self._go.set()
+        self._go.release()
 
 
 class CooperativeScheduler(Scheduler):

@@ -26,17 +26,27 @@ Indexed scheduling
 The original slot kept a sorted interval list and ran a linear gap scan
 per charge -- quadratic as bookings accumulate, which put the framework
 itself on the critical path of large runs.  :class:`_Slot` now keeps
-parallel ``starts``/``ends`` arrays plus two accelerators that preserve
+parallel ``starts``/``ends`` arrays plus accelerators that preserve
 **bit-identical placements** with respect to that linear scan:
 
 * an O(1) append fast path for the dominant ``ready >= free_at`` case;
 * a bisect that skips every booking ending at or before ``ready``
   (placements provably unchanged -- such bookings can neither move the
   scan's candidate nor change its early-return value);
-* a *packed-prefix gap cursor*: the index below which consecutive
-  bookings touch exactly (``starts[j] <= ends[j-1]``).  A gapless
-  prefix cannot host any operation longer than the scheduling epsilon,
-  so the scan may jump straight past it.
+* an *open-gap index*: the sorted ``(starts[j], ends[j-1])`` pairs of
+  the bookings with idle time before them (``starts[j] > ends[j-1]``).
+  Past the bisect point the scan's candidate is the previous booking's
+  end, and a closed gap cannot host anything longer than the epsilon,
+  so the search visits only the open gaps.  A serve run's host slot
+  holds thousands of bookings but a few dozen open gaps, and every
+  charge at a job's admission floor starts its search far back in it.
+  Entries are keyed by time, so a backfill insert touches at most two.
+
+Two cases keep the exact running-max scan: queries whose duration does
+not clear the epsilon by more than float rounding at the slot's time
+scale, and slots whose ``ends`` have dipped (a zero- or epsilon-length
+booking ending inside its neighbour's overlap tolerance), where neither
+the bisect over ``ends`` nor the gap test is sound.
 
 The naive reference implementation is retained verbatim in
 :mod:`repro.sim.reference`; the tier-1 equivalence suite replays
@@ -64,20 +74,29 @@ from repro.sim.trace import Phase, Trace
 _EPS = 1e-12
 
 
+def _past_eps(start: float) -> float:
+    return start + _EPS
+
+
 class _Slot:
     """One serially-occupied lane: sorted ``starts``/``ends`` arrays with
-    an append fast path and a packed-prefix gap cursor."""
+    an append fast path and an index of the open gaps between bookings."""
 
-    __slots__ = ("starts", "ends", "_packed")
+    __slots__ = ("starts", "ends", "_gap_hi", "_gap_lo", "_dipped")
 
     def __init__(self) -> None:
         self.starts: list[float] = []
         self.ends: list[float] = []
-        #: Bookings ``[0, _packed)`` are gapless: ``starts[j] <=
-        #: ends[j-1]`` for every ``1 <= j < _packed``.  Nothing longer
-        #: than ``_EPS`` fits between them, so gap searches skip the
-        #: whole prefix.
-        self._packed = 0
+        #: The open gaps, in slot order: booking ``j`` with ``starts[j]
+        #: > ends[j-1]`` contributes ``_gap_hi = starts[j]`` and
+        #: ``_gap_lo = ends[j-1]``.  Keyed by time rather than position,
+        #: so a backfill insert leaves every other entry untouched.
+        self._gap_hi: list[float] = []
+        self._gap_lo: list[float] = []
+        #: Some ``ends[j] < ends[j-1]`` (an end inside the overlap
+        #: tolerance of a zero- or epsilon-length neighbour).  Bookings
+        #: are never removed, so once set this stays set.
+        self._dipped = False
 
     def earliest_gap(self, ready: float, duration: float) -> float:
         """Earliest start >= ready with ``duration`` of idle time.
@@ -87,25 +106,39 @@ class _Slot:
         """
         ends = self.ends
         n = len(ends)
-        if n == 0 or ready >= ends[-1]:
-            # Append fast path: every booking ends at or before ready.
+        if n == 0:
             return ready
         starts = self.starts
-        # Bookings with end <= ready never move the candidate and any
-        # early return they could take yields `ready`, which the first
-        # surviving booking's check reproduces (starts are sorted).
-        i = bisect_right(ends, ready)
+        if not self._dipped:
+            if ready >= ends[-1]:
+                # Append fast path: every booking ends at or before ready.
+                return ready
+            # Bookings with end <= ready never move the candidate and any
+            # early return they could take yields `ready`, which the first
+            # surviving booking's check reproduces (starts are sorted).
+            i = bisect_right(ends, ready)
+            # Past booking i the scan's candidate is ends[j-1] at every
+            # j, and where the gap is closed (starts[j] <= ends[j-1]) the
+            # fit test fails for every duration that clears the epsilon
+            # by more than float rounding at the slot's latest end (the
+            # bound below leaves a wide margin), so only the open gaps
+            # need testing.
+            if duration > _EPS * (2.0 + ends[-1]):
+                if ready + duration <= starts[i] + _EPS:
+                    return ready
+                gap_hi, gap_lo = self._gap_hi, self._gap_lo
+                for k in range(bisect_right(gap_hi, starts[i]), len(gap_hi)):
+                    candidate = gap_lo[k]
+                    if candidate + duration <= gap_hi[k] + _EPS:
+                        return candidate
+                return ends[-1]
+        else:
+            # Ends are not sorted, so bisecting them proves nothing.  An
+            # end never exceeds its successor's start plus the epsilon
+            # (the overlap check in occupy), so every booking before the
+            # last one with ``start + eps <= ready`` has ended by ready.
+            i = max(bisect_right(starts, ready, key=_past_eps) - 1, 0)
         candidate = ready
-        packed = self._packed
-        if duration > _EPS and packed > i:
-            # Inside a gapless prefix only the gap *before* the first
-            # booking can fit anything longer than the epsilon.
-            if i == 0 and candidate + duration <= starts[0] + _EPS:
-                return candidate
-            i = packed
-            prev_end = ends[packed - 1]
-            if prev_end > candidate:
-                candidate = prev_end
         for j in range(i, n):
             if candidate + duration <= starts[j] + _EPS:
                 return candidate
@@ -126,22 +159,44 @@ class _Slot:
         if lo < n and end > starts[lo] + _EPS:
             raise SimulationError("slot overlap: gap search bypassed")
         if lo == n:
+            if n:
+                prev = ends[-1]
+                if start > prev:
+                    self._gap_hi.append(start)
+                    self._gap_lo.append(prev)
+                elif end < prev:
+                    self._dipped = True
             starts.append(start)
             ends.append(end)
-            if self._packed == n and (n == 0 or start <= ends[n - 1]):
-                self._packed = n + 1
-        else:
-            starts.insert(lo, start)
-            ends.insert(lo, end)
-            # A backfill insert may break or (by filling a gap) extend
-            # the packed prefix: truncate to the insert point, then
-            # re-extend while consecutive bookings touch.
-            packed = min(self._packed, lo)
-            total = n + 1
-            while packed < total and (packed == 0
-                                      or starts[packed] <= ends[packed - 1]):
-                packed += 1
-            self._packed = packed
+            return
+        # Backfill: the gap before booking ``lo`` (entry ``k`` if open)
+        # gives way to the gaps on either side of the new booking.
+        gap_hi, gap_lo = self._gap_hi, self._gap_lo
+        nxt = starts[lo]
+        k = bisect_left(gap_hi, start)
+        right_open = nxt > end
+        if lo:
+            prev = ends[lo - 1]
+            if nxt > prev:
+                if right_open:
+                    gap_lo[k] = end
+                    right_open = False
+                else:
+                    del gap_hi[k]
+                    del gap_lo[k]
+            if start > prev:
+                gap_hi.insert(k, start)
+                gap_lo.insert(k, prev)
+                k += 1
+            elif end < prev:
+                self._dipped = True
+        if right_open:
+            gap_hi.insert(k, nxt)
+            gap_lo.insert(k, end)
+        if end > ends[lo]:
+            self._dipped = True
+        starts.insert(lo, start)
+        ends.insert(lo, end)
 
     @property
     def booked(self) -> int:

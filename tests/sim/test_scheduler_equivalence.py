@@ -7,10 +7,14 @@ and the per-phase/per-resource breakdowns must be *bit-identical* -- the
 indexed scheduler is a pure wall-clock optimisation.
 
 Workloads deliberately mix the regimes the index special-cases:
-monotone ready times (append fast path), zero ready on a dense schedule
-(packed-prefix cursor), zero/epsilon durations (cursor skip is gated on
-``duration > eps``), backfill into old gaps (bisect skip), multi-slot
-resources (tie-breaks) and multi-resource path negotiation.
+monotone ready times (append fast path), backfill into old gaps (bisect
+skip, then a walk over the open-gap index), zero/epsilon durations (the
+open-gap walk is gated on ``duration`` clearing the epsilon, and such
+bookings make ``ends`` non-monotone, which forces the exact running-max
+scan), multi-slot resources (tie-breaks) and multi-resource path
+negotiation.  The serve-style regime replays what a multi-tenant run
+does to a slot: interleaved job floors, dense runtime charges at
+``ready == floor`` behind an early open gap, and sparse wide gaps.
 """
 
 import random
@@ -19,7 +23,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.reference import NaiveSlot, naive_timeline
-from repro.sim.timeline import Timeline
+from repro.sim.timeline import Timeline, _Slot
 from repro.sim.trace import Phase
 
 RESOURCES = ("host", "ssd.read", "pcie.down", "gpu", "nvme.q")
@@ -92,6 +96,90 @@ def test_indexed_matches_naive_reference(seed):
     assert indexed.makespan() == naive.makespan()
     assert indexed.trace.by_phase() == naive.trace.by_phase()
     assert indexed.trace.by_resource() == naive.trace.by_resource()
+
+
+def _serve_ops(rng: random.Random, n_ops: int) -> list[tuple]:
+    """A serve-style workload: (kind, resources, duration, ready, floor).
+
+    Jobs are admitted at increasing floors and interleaved op by op.
+    Each job issues dense host runtime charges at ``ready == floor``
+    (backfilling behind the early open gap the first booking leaves)
+    and device charges that climb a job-local clock, leaving sparse
+    wide gaps; a few zero and 1e-13 device durations make ``ends`` dip.
+    """
+    # The first booking starts late, leaving [0, 0.02) open on the host.
+    ops = [("charge", ("host",), 1e-6, 0.02, 0.0)]
+    jobs: list[list[float]] = []     # [floor, clock] per live job
+    admit = 0.0
+    for _ in range(n_ops):
+        if not jobs or (len(jobs) < 6 and rng.random() < 0.05):
+            admit += rng.uniform(0.0, 0.01)
+            jobs.append([admit, admit])
+        job = rng.choice(jobs)
+        floor = job[0]
+        mode = rng.random()
+        if mode < 0.5:
+            ops.append(("charge", ("host",), 0.5e-6, 0.0, floor))
+        elif mode < 0.6:
+            duration = rng.choice([0.0, 1e-13])
+            ops.append(("charge", (rng.choice(("gpu", "ssd.read")),), duration,
+                        rng.choice([0.0, job[1]]), floor))
+        elif mode < 0.9:
+            job[1] += rng.uniform(0.0, 0.004)
+            duration = rng.uniform(1e-5, 2e-3)
+            if rng.random() < 0.7:
+                ops.append(("charge", (rng.choice(("gpu", "ssd.read")),),
+                            duration, job[1], floor))
+            else:
+                ops.append(("path", ("ssd.read", "pcie.down"), duration,
+                            job[1], floor))
+        else:
+            ops.append(("charge", ("host",), rng.uniform(1e-6, 5e-5),
+                        job[1], floor))
+        if rng.random() < 0.02:
+            jobs.remove(job)
+    return ops
+
+
+@pytest.mark.parametrize("seed", [0, 5, 42])
+def test_serve_style_fragmentation_matches_naive(seed):
+    ops = _serve_ops(random.Random(seed), 3000)
+    indexed, naive = Timeline(), naive_timeline()
+    for i, (kind, resources, duration, ready, floor) in enumerate(ops):
+        indexed.floor = naive.floor = floor
+        op = (kind, resources, duration, ready)
+        assert _apply(indexed, i, op) == _apply(naive, i, op), f"op {i}"
+    assert list(indexed.trace.rows()) == list(naive.trace.rows())
+    assert indexed.makespan() == naive.makespan()
+    # The regime reaches both index paths: the host keeps monotone ends
+    # behind open gaps, and some device slot has dipped ends.
+    host = indexed.resource("host")._slots[0]
+    assert not host._dipped and len(host._gap_hi) > 1
+    assert any(indexed.resource(r)._slots[0]._dipped
+               for r in ("gpu", "ssd.read"))
+
+
+@pytest.mark.parametrize("bookings, queries", [
+    # A 1e-13 booking placed first, then a long one backfilled in front
+    # of it: ends dip (3.0, then 3.0 - 4e-13).  A query between the two
+    # ends must still be pushed past the long booking.
+    ([(3.0 - 5e-13, 1e-13), (2.0, 1.0)],
+     [(3.0 - 2e-13, 0.0), (3.0 - 2e-13, 0.5), (2.5, 1e-13), (0.0, 1.0)]),
+    # Touching bookings far from t=0, where one ulp exceeds the epsilon:
+    # a duration just above the epsilon rounds into the closed gap.
+    ([(0.0, 1e4), (1e4, 1.0)],
+     [(0.0, 1.5e-12), (0.0, 3e-12), (5e3, 1.5e-12), (0.0, 1e-3)]),
+])
+def test_float_edge_cases_match_naive(bookings, queries):
+    indexed, naive = _Slot(), NaiveSlot()
+    for ready, duration in bookings:
+        start = naive.earliest_gap(ready, duration)
+        assert indexed.earliest_gap(ready, duration) == start
+        indexed.occupy(start, duration)
+        naive.occupy(start, duration)
+    for ready, duration in queries:
+        assert (indexed.earliest_gap(ready, duration)
+                == naive.earliest_gap(ready, duration)), (ready, duration)
 
 
 @pytest.mark.parametrize("seed", [11, 13])
