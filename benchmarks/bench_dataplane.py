@@ -1,28 +1,28 @@
 """Wall-clock cost of physical data movement: zero-copy vs naive plane.
 
-Thin shim over :mod:`repro.bench.dataplane` (the moved bench body, also
-behind ``benchmarks/scenarios/dataplane.toml``): bulk, contiguous,
-strided and scatter moves in both planes plus the file-backed SortApp
-A/B.  See the module docstring for the cases.
+Thin shim over ``benchmarks/scenarios/dataplane.toml`` (body in
+:mod:`repro.bench.dataplane`): bulk, contiguous, strided and scatter
+moves in both planes plus the file-backed SortApp A/B, with the
+speedup floors asserted here.  The ``ci`` scale shrinks the working
+set and relaxes the mem->mem floor (shared CI runners jitter
+small-buffer timings); the strided-file floor stands at every scale
+because the baseline pays a file open per row.
 
-``REPRO_DATAPLANE_SCALE=ci`` shrinks the working set and relaxes the
-mem->mem floor (shared CI runners jitter small-buffer timings); the
-strided-file floor stands at every scale because the baseline pays a
-file open per row.
-
-Writes ``BENCH_dataplane.json`` at the repository root.  Run directly
-(``python benchmarks/bench_dataplane.py``) or via pytest.
+``python -m repro experiment run dataplane [--scale ci]`` runs the
+scenario alone; ``python benchmarks/bench_dataplane.py [--scale ci]``
+also checks the floors and writes ``BENCH_dataplane.json`` at the
+repository root.
 """
 
 from __future__ import annotations
 
-from repro.bench.dataplane import (RESULT_PATH, TARGET_STRIDED_SPEEDUP,
-                                   format_table, run_bench)
+from repro.bench.cells import run_records
+from repro.bench.dataplane import TARGET_STRIDED_SPEEDUP, format_table
+from repro.bench.harness import bench_main
 
 
-def test_dataplane():
-    result = run_bench()
-    by_case = result["by_case"]
+def check(result: dict) -> None:
+    by_case = {c["case"]: c for c in result["cases"]}
     strided = by_case["strided_file_2d_gather"]
     assert strided["speedup"] >= TARGET_STRIDED_SPEEDUP, (
         f"vectored strided path only {strided['speedup']}x over the "
@@ -36,7 +36,10 @@ def test_dataplane():
         assert c["bytes_identical"]
 
 
+def test_dataplane():
+    check(run_records("dataplane")[0])
+
+
 if __name__ == "__main__":
-    out = run_bench()
-    print(format_table(out))
-    print(f"wrote {RESULT_PATH}")
+    raise SystemExit(bench_main("dataplane", "BENCH_dataplane.json", check,
+                                format_table))

@@ -1,7 +1,7 @@
 """Distributed task-graph scaling: one plan sharded across workers.
 
-Wraps :mod:`repro.dist.bench` and writes ``BENCH_distributed.json`` at
-the repository root:
+Thin shim over ``benchmarks/scenarios/distributed_scaling.toml`` (body
+in :mod:`repro.dist.bench`):
 
 * **equivalence** -- all four paper apps under the distributed
   scheduler, asserted byte-identical (results) and bit-identical
@@ -10,39 +10,20 @@ the repository root:
 * **scaling** -- the projected worker-count curve per app over the
   modeled loopback network channel (deterministic virtual numbers).
 
-``REPRO_DIST_SCALE=ci`` shrinks the sweep for shared runners.  Run
-directly (``python benchmarks/bench_distributed_scaling.py``) or via
-pytest (``pytest benchmarks/bench_distributed_scaling.py``).
+``python -m repro experiment run distributed_scaling [--scale ci]``
+runs the scenario alone; ``python benchmarks/bench_distributed_scaling.py
+[--scale ci]`` also checks the curves and writes
+``BENCH_distributed.json`` at the repository root.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import sys
-
-from repro.dist import bench as dist_bench
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RESULT_PATH = os.path.join(REPO_ROOT, "BENCH_distributed.json")
+from repro.bench.cells import run_records
+from repro.bench.harness import bench_main
+from repro.dist.bench import format_table
 
 
-def run_bench() -> dict:
-    scale_name = dist_bench.pick_scale()
-    result = dist_bench.run_bench(scale_name)
-    result["meta"] = {
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-    }
-    with open(RESULT_PATH, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return result
-
-
-def test_distributed_scaling():
-    result = run_bench()
+def check(result: dict) -> None:
     eq = result["equivalence"]
     assert eq["results_identical"] and eq["virtual_time_identical"]
     for name, app in result["scaling"]["apps"].items():
@@ -53,7 +34,11 @@ def test_distributed_scaling():
             f"{name}: projected distribution should never lose to serial")
 
 
+def test_distributed_scaling():
+    check(run_records("distributed_scaling")[0])
+
+
 if __name__ == "__main__":
-    out = run_bench()
-    print(dist_bench.format_table(out))
-    print(f"wrote {RESULT_PATH}")
+    raise SystemExit(bench_main("distributed_scaling",
+                                "BENCH_distributed.json", check,
+                                format_table))

@@ -1,10 +1,11 @@
 """Multi-tenant serve throughput: FIFO vs fair-share vs priority.
 
-One seeded Poisson stream of mixed GEMM / HotSpot / SpMV / sort jobs
-from three tenants -- plus one injected elephant GEMM -- is served
-three times on identical fresh systems, once per scheduling policy
-(see :mod:`repro.serve.bench`).  Reported numbers are all virtual:
-jobs per virtual second, p50/p99 job latency, p99 queue wait.
+Thin shim over ``benchmarks/scenarios/serve_throughput.toml`` (body in
+:mod:`repro.serve.bench`): one seeded Poisson stream of mixed GEMM /
+HotSpot / SpMV / sort jobs from three tenants -- plus one injected
+elephant GEMM -- served three times on identical fresh systems, once
+per scheduling policy.  Reported numbers are all virtual: jobs per
+virtual second, p50/p99 job latency, p99 queue wait.
 
 Two properties are asserted, not just reported:
 
@@ -14,42 +15,21 @@ Two properties are asserted, not just reported:
 * **serving is free of numeric drift**: every served job's result
   bytes equal a solo in-order run of the same spec on a fresh system.
 
-``REPRO_SERVE_SCALE=ci`` shrinks the stream for the CI smoke job; the
-committed ``BENCH_serve.json`` is the ``full`` configuration.  Run
-directly (``python benchmarks/bench_serve_throughput.py``), via pytest,
-or as ``python -m repro serve-bench``.
+``python -m repro experiment run serve_throughput [--scale ci]`` runs
+the scenario alone; ``python benchmarks/bench_serve_throughput.py
+[--scale ci]`` also checks it and writes ``BENCH_serve.json`` at the
+repository root.  ``python -m repro serve-bench`` serves the same
+stream with a live ``/status`` endpoint and an SLO gate.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import sys
-
-from repro.serve import bench as serve_bench
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RESULT_PATH = os.path.join(REPO_ROOT, "BENCH_serve.json")
-
-SCALE = serve_bench.pick_scale()
-SEED = 0
+from repro.bench.cells import run_records
+from repro.bench.harness import bench_main
+from repro.serve.bench import format_table
 
 
-def run_bench() -> dict:
-    payload = serve_bench.run_bench(scale_name=SCALE, seed=SEED, verify=True)
-    payload["meta"] = {
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-    }
-    with open(RESULT_PATH, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
-
-
-def test_serve_throughput():
-    payload = run_bench()
+def check(payload: dict) -> None:
     policies = payload["policies"]
     for name, row in policies.items():
         assert row["jobs_done"] == payload["arrivals"]["count"], (
@@ -62,7 +42,7 @@ def test_serve_throughput():
     # below FIFO's head-of-line-blocked tail.  At ci scale the stream
     # is too short for a stable tail (nearest-rank p99 is the maximum,
     # i.e. the elephant itself), so the hard assertion is full-scale.
-    if SCALE == "full":
+    if payload["scale"] == "full":
         assert payload["contention"]["fair_beats_fifo_p99"], (
             f"fair p99 {policies['fair']['p99_latency_s']}s did not beat "
             f"fifo p99 {policies['fifo']['p99_latency_s']}s")
@@ -71,7 +51,10 @@ def test_serve_throughput():
     assert max(rates) - min(rates) < 1e-6 * max(rates)
 
 
+def test_serve_throughput():
+    check(run_records("serve_throughput")[0])
+
+
 if __name__ == "__main__":
-    payload = run_bench()
-    print(serve_bench.format_table(payload))
-    print(f"wrote {RESULT_PATH}")
+    raise SystemExit(bench_main("serve_throughput", "BENCH_serve.json",
+                                check, format_table))

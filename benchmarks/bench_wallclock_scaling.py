@@ -1,24 +1,25 @@
 """Wall-clock scaling of the framework itself: indexed vs naive.
 
-Thin shim over :mod:`repro.bench.wallclock` (the moved bench body, also
-behind ``benchmarks/scenarios/wallclock_scaling.toml``): the 10k-interval
-framework-ops scaling case, the app fan-out across the process pool,
-and the compute-backend sweep.  See the module docstring for the cases.
+Thin shim over ``benchmarks/scenarios/wallclock_scaling.toml`` (body in
+:mod:`repro.bench.wallclock`): the 10k-interval framework-ops scaling
+case, the app sweep and the compute-backend sweep, with the speedup
+floor asserted here.  The ``ci`` scale shrinks the compute-backend
+sweep.
 
-``REPRO_WALLCLOCK_SCALE=ci`` shrinks the compute-backend sweep for
-shared runners.  Writes ``BENCH_wallclock.json`` at the repository
-root.  Run directly (``python benchmarks/bench_wallclock_scaling.py``)
-or via pytest.
+``python -m repro experiment run wallclock_scaling [--scale ci]`` runs
+the scenario alone; ``python benchmarks/bench_wallclock_scaling.py
+[--scale ci]`` also checks the floor and writes ``BENCH_wallclock.json``
+at the repository root.
 """
 
 from __future__ import annotations
 
-from repro.bench.wallclock import (N_MOVES, RESULT_PATH, TARGET_SPEEDUP,
-                                   format_table, run_bench)
+from repro.bench.cells import run_records
+from repro.bench.harness import bench_main
+from repro.bench.wallclock import N_MOVES, TARGET_SPEEDUP, format_table
 
 
-def test_wallclock_scaling():
-    result = run_bench()
+def check(result: dict) -> None:
     fw = result["framework_ops_scaling"]
     assert fw["intervals"] == 2 * N_MOVES
     assert fw["speedup"] >= TARGET_SPEEDUP, (
@@ -28,7 +29,10 @@ def test_wallclock_scaling():
     assert cb["results_identical"] and cb["virtual_time_identical"]
 
 
+def test_wallclock_scaling():
+    check(run_records("wallclock_scaling")[0])
+
+
 if __name__ == "__main__":
-    out = run_bench()
-    print(format_table(out))
-    print(f"wrote {RESULT_PATH}")
+    raise SystemExit(bench_main("wallclock_scaling", "BENCH_wallclock.json",
+                                check, format_table))

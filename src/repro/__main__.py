@@ -8,8 +8,6 @@ Subcommands::
     python -m repro describe --plan      # dump lowered task graphs etc.
     python -m repro serve-bench          # multi-tenant serve throughput
     python -m repro top URL              # live dashboard over /status
-    python -m repro exec-bench           # compute-backend scaling sweep
-    python -m repro dist-bench           # distributed scaling + equivalence
     python -m repro [evaluate args...]   # default: repro.tools.evaluate
 
 See ``--help`` on each.
@@ -38,12 +36,6 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "top":
         from repro.obs.live import top_main
         return top_main(argv[1:])
-    if argv and argv[0] == "exec-bench":
-        from repro.exec.bench import main as exec_bench_main
-        return exec_bench_main(argv[1:])
-    if argv and argv[0] == "dist-bench":
-        from repro.dist.bench import main as dist_bench_main
-        return dist_bench_main(argv[1:])
     from repro.tools.evaluate import main as evaluate_main
     return evaluate_main(argv)
 

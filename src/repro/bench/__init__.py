@@ -12,6 +12,9 @@
 * :mod:`repro.bench.sweeps` -- generic parameter sweeps with CSV output.
 * :mod:`repro.bench.parallel` -- process-pool fan-out of independent
   experiment configurations with a deterministic merge.
+* :mod:`repro.bench.harness` -- the wall-clock benches' one timing loop
+  (:func:`~repro.bench.harness.measure`), environment record and
+  ``BENCH_*.json`` writer.
 """
 
 from repro.bench import configs, figures, parallel, reporting

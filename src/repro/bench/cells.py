@@ -6,7 +6,8 @@ can expand a scenario matrix over it and fan cells across the
 :mod:`repro.bench.parallel` pool.  Records are JSON-able; virtual
 metrics sit at the top level (deterministic, regress-comparable) while
 wall-clock measurements go under a ``meta`` key, which
-:mod:`repro.obs.regress` ignores.
+:mod:`repro.obs.regress` ignores.  The whole-bench families at the end
+return their bench's ``BENCH_*.json`` payload unchanged.
 
 The ``benchmarks/bench_*.py`` shims run the same scenarios through
 :func:`run_records` and assert the paper shapes on the records.
@@ -14,24 +15,29 @@ The ``benchmarks/bench_*.py`` shims run the same scenarios through
 
 from __future__ import annotations
 
+import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict
-from time import perf_counter
 from typing import Any
 
 from repro.bench import configs, figures
+from repro.bench.harness import measure
 from repro.errors import ConfigError
 from repro.tools.experiment.registry import register
 
 
-def run_records(scenario_name: str, out_dir: str, *,
+def run_records(scenario_name: str, out_dir: str | None = None, *,
                 scale: str | None = None,
                 workers: int = 1) -> list[dict[str, Any]]:
     """Run a committed scenario and return its cell records in plan
-    order -- the entry point the bench shims share."""
+    order -- the entry point the bench shims share.  Without
+    ``out_dir`` the artifact goes to a temporary directory."""
     from repro.tools.experiment.config import find_scenario, load_scenario
     from repro.tools.experiment.runner import run_scenario
-    result = run_scenario(load_scenario(find_scenario(scenario_name)),
-                          out_dir=out_dir, scale=scale, workers=workers)
+    scenario = load_scenario(find_scenario(scenario_name))
+    with tempfile.TemporaryDirectory(prefix="repro_records_") as tmp:
+        result = run_scenario(scenario, out_dir=out_dir or tmp,
+                              scale=scale, workers=workers)
     return [cell["record"] for cell in result.summary["cells"]]
 
 
@@ -295,77 +301,53 @@ def framework_op_cell(op: str, rounds: int = 200) -> dict:
                                   staging_bytes=64 * MB))
     try:
         fn = framework_op(system, op)
-        samples = []
-        for _ in range(int(rounds)):
+
+        @contextmanager
+        def fresh_timeline():
             system.reset_time()
-            t0 = perf_counter()
-            fn()
-            samples.append(perf_counter() - t0)
-        samples.sort()
+            yield fn
+
+        m = measure({op: fresh_timeline}, repeats=int(rounds))[op]
         return {"op": op, "rounds": int(rounds),
-                "meta": {"p50_ns": round(samples[len(samples) // 2] * 1e9),
-                         "min_ns": round(samples[0] * 1e9)}}
+                "meta": {"p50_ns": round(m.median * 1e9),
+                         "iqr_ns": round(m.iqr * 1e9),
+                         "min_ns": round(m.min * 1e9)}}
     finally:
         system.close()
 
 
-# -- Whole-bench wrappers (one cell each) -------------------------------------
+# -- Whole-bench families (one cell each; payload returned unchanged) --------
 
 @register("pipeline")
 def pipeline_cell(scale: str = "full") -> dict:
     """Pipelined vs eager scheduling (BENCH_pipeline body)."""
     from repro.bench.pipeline import run_bench
-    result = run_bench(scale, write_path=None)
-    record: dict[str, Any] = {"meta": result["meta"]}
-    for case in result["cases"]:
-        entry = {k: v for k, v in case.items() if k != "case"}
-        record[case["case"]] = entry
-    return record
+    return run_bench(scale)
 
 
 @register("wallclock")
-def wallclock_cell(scale: str = "full", workers: int = 1) -> dict:
-    """Indexed-vs-naive wall-clock scaling (BENCH_wallclock body).
-
-    Wall-clock numbers dominate this record, so everything lands under
-    ``meta`` except the virtual invariants.
-    """
+def wallclock_cell(scale: str = "full") -> dict:
+    """Indexed-vs-naive wall-clock scaling (BENCH_wallclock body)."""
     from repro.bench.wallclock import run_bench
-    result = run_bench(workers=int(workers), scale_name=scale,
-                       write_path=None)
-    fw = result["framework_ops_scaling"]
-    cb = result["compute_backends"]
-    return {"virtual_time_identical": fw["virtual_time_identical"],
-            "makespan_s": fw["makespan_s"],
-            "backends_identical": cb["results_identical"],
-            "meta": {"framework_ops": fw, "apps": result["apps"],
-                     "compute_backends": cb}}
+    return run_bench(scale)
 
 
 @register("dataplane")
 def dataplane_cell(scale: str = "full") -> dict:
     """Zero-copy vs naive data plane (BENCH_dataplane body)."""
     from repro.bench.dataplane import run_bench
-    result = run_bench(scale, write_path=None)
-    sort_case = result["by_case"]["external_sort_file_backed"]
-    return {"bytes_identical": all(c["bytes_identical"]
-                                   for c in result["cases"]),
-            "makespan_identical": sort_case["makespan_identical"],
-            "makespan_s": sort_case["makespan_s"],
-            "meta": {"cases": result["cases"]}}
+    return run_bench(scale)
 
 
 @register("serve")
 def serve_cell(scale: str = "full", seed: int = 0) -> dict:
     """Multi-tenant serve throughput (BENCH_serve body)."""
-    from repro.serve import bench as serve_bench
-    payload = serve_bench.run_bench(scale_name=scale, seed=int(seed),
-                                    verify=True)
-    return payload
+    from repro.serve.bench import run_bench
+    return run_bench(scale, seed=int(seed))
 
 
 @register("distributed")
 def distributed_cell(scale: str = "full") -> dict:
     """Distributed task-graph scaling (BENCH_distributed body)."""
-    from repro.dist import bench as dist_bench
-    return dist_bench.run_bench(scale)
+    from repro.dist.bench import run_bench
+    return run_bench(scale)

@@ -31,41 +31,24 @@ Cases (all virtual makespans, so CI timing noise cannot move them):
   InOrderScheduler's makespan is *hex-identical* to the eager driver's
   and all three schedulers produce identical result bytes.
 
-``REPRO_PIPELINE_SCALE=ci`` (or ``run_bench("ci")``) shrinks the
-grids; the floor relaxes slightly because fewer chunks amortise the
-pipeline fill/drain less.
-
-:func:`run_bench` writes ``BENCH_pipeline.json`` at the repository
-root unless ``write_path=None``; the ``benchmarks/`` shim and
-``python -m repro`` entry points call it.
+The ``ci`` scale shrinks the grids; the floor relaxes slightly because
+fewer chunks amortise the pipeline fill/drain less.  Run it as
+``python -m repro experiment run pipeline_overlap [--scale ci]``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.apps.hotspot import HotspotApp
 from repro.bench.configs import scaled_apu_tree
+from repro.bench.harness import scale_params
 from repro.core.scheduler import (EagerScheduler, InOrderScheduler,
                                   PipelinedScheduler)
 from repro.core.system import System
 from repro.memory.units import KB
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.dirname(os.path.abspath(__file__)))))
-RESULT_PATH = os.path.join(REPO_ROOT, "BENCH_pipeline.json")
-
-
-def pick_scale() -> str:
-    """``ci`` when ``REPRO_PIPELINE_SCALE=ci``, else ``full``."""
-    env = os.environ.get("REPRO_PIPELINE_SCALE", "").lower()
-    return "ci" if env == "ci" else "full"
 
 
 @dataclass(frozen=True)
@@ -83,12 +66,12 @@ class _Params:
     target_speedup: float
 
 
-def _params_for(scale_name: str) -> _Params:
-    if scale_name == "ci":
-        return _Params(grid_n=256, iters=4, spp=4, depth=2, deep_spp=8,
-                       deep_depth=4, staging=64 * KB, target_speedup=1.05)
-    return _Params(grid_n=512, iters=4, spp=4, depth=2, deep_spp=8,
-                   deep_depth=4, staging=256 * KB, target_speedup=1.10)
+SCALES = {
+    "ci": _Params(grid_n=256, iters=4, spp=4, depth=2, deep_spp=8,
+                  deep_depth=4, staging=64 * KB, target_speedup=1.05),
+    "full": _Params(grid_n=512, iters=4, spp=4, depth=2, deep_spp=8,
+                    deep_depth=4, staging=256 * KB, target_speedup=1.10),
+}
 
 
 def _run(p: _Params, storage: str, scheduler, *, n: int, iterations: int,
@@ -147,36 +130,20 @@ def _case_equivalence(p: _Params) -> dict:
             "results_identical": True}
 
 
-def run_bench(scale_name: str | None = None, *,
-              write_path: str | None = RESULT_PATH) -> dict:
-    if scale_name is None:
-        scale_name = pick_scale()
-    p = _params_for(scale_name)
-    cases = [
-        _case(p, "hotspot_hdd_starved", "hdd", steps_per_pass=p.spp,
-              depth=p.depth),
-        _case(p, "hotspot_hdd_deep", "hdd", steps_per_pass=p.deep_spp,
-              depth=p.deep_depth),
-        _case(p, "hotspot_ssd_shared", "ssd", steps_per_pass=p.spp,
-              depth=p.depth),
-        _case_equivalence(p),
-    ]
-    by_case = {c["case"]: c for c in cases}
-    result = {
-        "cases": cases,
-        "meta": {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-            "scale": scale_name,
-            "target_speedup": p.target_speedup,
-        },
+def run_bench(scale: str) -> dict:
+    p = scale_params(SCALES, scale, "pipeline")
+    return {
+        "cases": [
+            _case(p, "hotspot_hdd_starved", "hdd", steps_per_pass=p.spp,
+                  depth=p.depth),
+            _case(p, "hotspot_hdd_deep", "hdd", steps_per_pass=p.deep_spp,
+                  depth=p.deep_depth),
+            _case(p, "hotspot_ssd_shared", "ssd", steps_per_pass=p.spp,
+                  depth=p.depth),
+            _case_equivalence(p),
+        ],
+        "meta": {"scale": scale, "target_speedup": p.target_speedup},
     }
-    if write_path is not None:
-        with open(write_path, "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-    result["by_case"] = by_case
-    return result
 
 
 def format_table(result: dict) -> str:

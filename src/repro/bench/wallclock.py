@@ -13,43 +13,36 @@ scheduler:
   :meth:`~repro.core.system.System.move_down_batch` to show what the
   batched path saves on top.
 * **application scaling** -- the three paper apps at shrinking staging
-  sizes (more chunks, more framework ops per run), fanned across a
-  process pool by :mod:`repro.bench.parallel` and merged
-  deterministically.
-* **compute backends** -- the :mod:`repro.exec.bench` sweep: one
-  large-staging GEMM per ``(backend, workers)`` point, asserting
-  byte-identical results and bit-identical makespans across the inline
-  and threaded executors before recording their wall times.
-  ``REPRO_WALLCLOCK_SCALE=ci`` shrinks this sweep for shared runners.
+  sizes (more chunks, more framework ops per run), each naive-vs-indexed
+  pair timed as one alternating A/B measurement.
+* **compute backends** -- one large-staging GEMM per ``(backend,
+  workers)`` point, asserting byte-identical results and bit-identical
+  makespans across the inline and threaded executors before recording
+  their wall times.  The ``ci`` scale shrinks this sweep; the other
+  sections are fixed-size.
 
-Virtual results must not move: the bench asserts bit-identical makespans
-between the naive and indexed schedulers for every compared case.
-:func:`run_bench` writes ``BENCH_wallclock.json`` at the repository
-root unless ``write_path=None``; the ``benchmarks/`` shim and
-``python -m repro`` entry points call it.
+Every wall time is the median of :func:`repro.bench.harness.measure`
+with its spread under the entry's ``meta``.  Virtual results must not
+move: the bench asserts bit-identical makespans between the naive and
+indexed schedulers for every compared case.  Run it as
+``python -m repro experiment run wallclock_scaling [--scale ci]``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import sys
-from time import perf_counter
+import hashlib
+from contextlib import contextmanager
+
+import numpy as np
 
 from repro.apps import GemmApp, HotspotApp, SpmvApp
 from repro.bench import configs
-from repro.bench.parallel import default_workers, run_parallel
+from repro.bench.harness import measure, scale_params
 from repro.core.system import BatchMove, System
-from repro.exec import bench as exec_bench
 from repro.memory.units import KB, MB
 from repro.sim.reference import naive_timeline
 from repro.topology.builders import apu_two_level
 from repro.workloads.sparse import preset
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.dirname(os.path.abspath(__file__)))))
-RESULT_PATH = os.path.join(REPO_ROOT, "BENCH_wallclock.json")
 
 #: 2 trace intervals per move -> the 10k-interval scaling case.
 N_MOVES = 5_000
@@ -58,12 +51,24 @@ CHUNK_BYTES = 4 * KB
 TARGET_SPEEDUP = 5.0
 #: Default staging is 8 MB at bench scale; halving it doubles chunks.
 STAGING_SWEEP = (8 * MB, 4 * MB, 2 * MB)
+APPS = ("gemm", "hotspot", "spmv")
+
+#: Compute-backend sweep sizes.  ``ci`` keeps the sweep to a couple of
+#: seconds on a shared runner; ``full`` is the committed configuration.
+#: ``workers`` is the pool-size ladder swept for the threaded backend.
+SCALES: dict[str, dict] = {
+    "ci": dict(gemm=dict(m=192, k=192, n=192, tile=64),
+               staging_mb=4, workers=(2,), seed=3),
+    "full": dict(gemm=dict(m=1024, k=1024, n=1024, tile=256),
+                 staging_mb=8, workers=(1, 2, 4), seed=3),
+}
 
 
 # -- framework-ops scaling ----------------------------------------------------
 
-def _framework_ops_case(scheduler: str) -> dict:
-    """One timed sweep of N_MOVES move_downs on a fresh system.
+@contextmanager
+def _framework_ops(scheduler: str):
+    """One sweep of N_MOVES move_downs on a fresh system.
 
     ``scheduler`` is ``"naive"`` (reference slots, per-move loop),
     ``"indexed"`` (per-move loop) or ``"batched"`` (indexed slots, one
@@ -78,26 +83,29 @@ def _framework_ops_case(scheduler: str) -> dict:
         src = system.alloc(CHUNK_BYTES, root)
         dst = system.alloc(CHUNK_BYTES, leaf)
         system.reset_time()
-        t0 = perf_counter()
-        if scheduler == "batched":
-            system.move_down_batch([BatchMove(dst, src, CHUNK_BYTES)
-                                    for _ in range(N_MOVES)])
-        else:
-            for _ in range(N_MOVES):
-                system.move_down(dst, src, CHUNK_BYTES)
-        wall = perf_counter() - t0
-        return {"scheduler": scheduler, "wall_s": wall,
-                "makespan_s": system.makespan(),
-                "trace_intervals": len(system.timeline.trace)}
+        row: dict = {}
+
+        def run() -> dict:
+            if scheduler == "batched":
+                system.move_down_batch([BatchMove(dst, src, CHUNK_BYTES)
+                                        for _ in range(N_MOVES)])
+            else:
+                for _ in range(N_MOVES):
+                    system.move_down(dst, src, CHUNK_BYTES)
+            return row
+
+        yield run
+        row["makespan_s"] = system.makespan()
+        row["trace_intervals"] = len(system.timeline.trace)
     finally:
         system.close()
 
 
 # -- application scaling ------------------------------------------------------
 
-def _app_case(args: tuple) -> dict:
-    """One app run; module-level so the process pool can pickle it."""
-    app_name, staging_bytes, scheduler = args
+@contextmanager
+def _app_run(app_name: str, staging_bytes: int, scheduler: str):
+    """One app construction and run on a fresh system."""
     scale = configs.DEFAULT_SCALE
     tree = configs.scaled_apu_tree("ssd",
                                    flop_bound_app=(app_name == "gemm"),
@@ -106,99 +114,198 @@ def _app_case(args: tuple) -> dict:
     if scheduler == "naive":
         system.timeline = naive_timeline()
     try:
-        t0 = perf_counter()
-        if app_name == "gemm":
-            app = GemmApp(system, m=scale.gemm_n, k=scale.gemm_n,
-                          n=scale.gemm_n, seed=scale.seed)
-        elif app_name == "hotspot":
-            app = HotspotApp(system, n=scale.hotspot_n,
-                             iterations=scale.hotspot_iterations,
-                             steps_per_pass=scale.hotspot_steps_per_pass,
-                             seed=scale.seed)
-        else:
-            app = SpmvApp(system,
-                          matrix=preset(scale.spmv_preset,
-                                        nrows=scale.spmv_rows,
-                                        seed=scale.seed),
-                          seed=scale.seed)
-        app.run(system)
-        wall = perf_counter() - t0
-        return {"app": app_name, "staging_mb": staging_bytes // MB,
-                "scheduler": scheduler, "wall_s": round(wall, 6),
-                "makespan_s": system.makespan(),
-                "trace_intervals": len(system.timeline.trace)}
+        row: dict = {}
+
+        def run() -> dict:
+            if app_name == "gemm":
+                app = GemmApp(system, m=scale.gemm_n, k=scale.gemm_n,
+                              n=scale.gemm_n, seed=scale.seed)
+            elif app_name == "hotspot":
+                app = HotspotApp(system, n=scale.hotspot_n,
+                                 iterations=scale.hotspot_iterations,
+                                 steps_per_pass=scale.hotspot_steps_per_pass,
+                                 seed=scale.seed)
+            else:
+                app = SpmvApp(system,
+                              matrix=preset(scale.spmv_preset,
+                                            nrows=scale.spmv_rows,
+                                            seed=scale.seed),
+                              seed=scale.seed)
+            app.run(system)
+            return row
+
+        yield run
+        row["makespan_s"] = system.makespan()
+        row["trace_intervals"] = len(system.timeline.trace)
     finally:
         system.close()
 
 
+def _app_rows() -> list[dict]:
+    """Every app at every staging size on the indexed scheduler, then
+    the naive reference at the default staging size."""
+    indexed, naive = [], []
+    for app in APPS:
+        for staging in STAGING_SWEEP:
+            schedulers = ("indexed", "naive") if staging == STAGING_SWEEP[0] \
+                else ("indexed",)
+            timed = measure({s: (lambda s=s: _app_run(app, staging, s))
+                             for s in schedulers}, repeats=3)
+            for s, m in timed.items():
+                (indexed if s == "indexed" else naive).append({
+                    "app": app, "staging_mb": staging // MB, "scheduler": s,
+                    "wall_s": round(m.median, 6), **m.result,
+                    "meta": {"wall_s": m.spread()}})
+            if "naive" in timed:
+                a, b = (timed[s].result["makespan_s"] for s in schedulers)
+                assert a == b, (f"indexed scheduler changed {app}'s "
+                                f"virtual makespan: {a} != {b}")
+    return indexed + naive
+
+
+# -- compute backends ---------------------------------------------------------
+
+@contextmanager
+def _gemm_run(backend: str, workers: int, scale: dict):
+    """One GEMM on a fresh system with one executor config."""
+    from repro.apps.gemm import GemmTiles
+    from repro.exec.base import make_executor
+
+    g = scale["gemm"]
+    tree = configs.scaled_apu_tree("ssd", flop_bound_app=True,
+                                   staging_bytes=scale["staging_mb"] * MB)
+    # Caller-owned executor: System only closes pools it built itself,
+    # so close this one explicitly after the system.
+    executor = make_executor(backend, workers=workers)
+    system = System(tree, executor=executor)
+    try:
+        row: dict = {}
+
+        def run() -> dict:
+            app = GemmApp(system, m=g["m"], k=g["k"], n=g["n"],
+                          seed=scale["seed"],
+                          force_tiles=GemmTiles(tm=g["tile"], tn=g["tile"],
+                                                tk=g["k"], reuse=True))
+            app.run(system)
+            row["app"] = app
+            return row
+
+        yield run
+        app = row.pop("app")
+        stats = system.executor.stats
+        row.update({
+            "makespan_s": system.makespan(),
+            "result_sha256": hashlib.sha256(np.ascontiguousarray(
+                app.result()).tobytes()).hexdigest(),
+            "kernels": stats.completed,
+            "dispatch_s": round(stats.dispatch_seconds, 6),
+            "merge_s": round(stats.merge_seconds, 6),
+            # Which worker picked up which task is a scheduling race,
+            # not an invariant -- regress ignores "meta" subtrees.
+            "meta": {
+                "bytes_in": stats.bytes_in,
+                "bytes_out": stats.bytes_out,
+                "worker_busy_s": {
+                    w: round(s, 6)
+                    for w, s in sorted(stats.worker_busy.items())},
+                "worker_tasks": dict(sorted(stats.worker_tasks.items())),
+            },
+        })
+        app.release_root_buffers()
+    finally:
+        system.close()
+        executor.close()
+
+
+def _backend_sweep(scale_name: str, scale: dict) -> dict:
+    """The inline reference plus every threaded point, as one
+    alternating measurement.
+
+    Returns the ``compute_backends`` payload.  Raises if any point's
+    result bytes or virtual makespan diverge from inline.
+    """
+    from repro.exec.base import effective_cpu_count
+
+    # Sweeping more pool workers than this process can schedule on
+    # measures contention, not scaling: clamp the ladder to the usable
+    # core count and record what was skipped.
+    cores = effective_cpu_count()
+    requested = tuple(scale["workers"])
+    swept = tuple(w for w in requested if w <= cores) or (1,)
+    skipped = tuple(w for w in requested if w not in swept)
+    points = [("inline", 1)] + [("threaded", w) for w in swept]
+    timed = measure({f"{b}x{w}": (lambda b=b, w=w: _gemm_run(b, w, scale))
+                     for b, w in points}, repeats=3)
+    rows = []
+    for (backend, workers), (name, m) in zip(points, timed.items()):
+        row = {"name": name, "backend": backend, "workers": workers,
+               "wall_s": round(m.median, 6), **m.result}
+        row["meta"]["wall_s"] = m.spread()
+        rows.append(row)
+
+    ref = rows[0]
+    for row in rows[1:]:
+        assert row["result_sha256"] == ref["result_sha256"], (
+            f"{row['name']} changed the result bytes")
+        assert row["makespan_s"] == ref["makespan_s"], (
+            f"{row['name']} changed the virtual makespan: "
+            f"{row['makespan_s']} != {ref['makespan_s']}")
+    g = scale["gemm"]
+    payload = {
+        "scale": scale_name,
+        "case": f"gemm {g['m']}x{g['k']}x{g['n']} "
+                f"tile {g['tile']}, staging {scale['staging_mb']}MB",
+        "cases": rows,
+        "results_identical": True,
+        "virtual_time_identical": True,
+        # The core count is a machine fact, not a bench invariant --
+        # regress ignores "meta" subtrees.
+        "meta": {"cores": cores},
+    }
+    # Only present on clamped hosts: the key's absence is the normal
+    # shape, so full-core runs match the committed baselines exactly.
+    if skipped:
+        payload["skipped_reason"] = (
+            f"worker counts {list(skipped)} skipped: only {cores} usable "
+            f"core(s) (swept {list(swept)} of requested {list(requested)})")
+    return payload
+
+
 # -- the bench ----------------------------------------------------------------
 
-def run_bench(workers: int | None = None, *,
-              scale_name: str | None = None,
-              write_path: str | None = RESULT_PATH) -> dict:
-    """Run every case, assert virtual parity, write the JSON report.
+def run_bench(scale: str) -> dict:
+    """Run every section and assert virtual parity.
 
-    ``scale_name`` selects the compute-backend sweep size (``None``
-    defers to ``REPRO_WALLCLOCK_SCALE``); the framework-ops and app
-    cases are fixed-size.
+    ``scale`` sizes the compute-backend sweep; the framework-ops and app
+    sections are fixed-size.
     """
-    # Timing-sensitive single-timeline cases run sequentially.
-    naive = _framework_ops_case("naive")
-    indexed = _framework_ops_case("indexed")
-    batched = _framework_ops_case("batched")
-    assert naive["makespan_s"] == indexed["makespan_s"], (
+    backends = scale_params(SCALES, scale, "wallclock")
+    timed = measure({s: (lambda s=s: _framework_ops(s))
+                     for s in ("naive", "indexed", "batched")}, repeats=3)
+    naive, indexed = timed["naive"], timed["indexed"]
+    assert naive.result["makespan_s"] == indexed.result["makespan_s"], (
         "indexed scheduler changed virtual time on the scaling case: "
-        f"{naive['makespan_s']} != {indexed['makespan_s']}")
-    speedup = naive["wall_s"] / indexed["wall_s"]
-
-    # Independent app configs fan out across the process pool.
-    app_configs = [(app, staging, "indexed")
-                   for app in ("gemm", "hotspot", "spmv")
-                   for staging in STAGING_SWEEP]
-    app_configs += [(app, STAGING_SWEEP[0], "naive")
-                    for app in ("gemm", "hotspot", "spmv")]
-    if workers is None:
-        workers = default_workers()
-    rows = run_parallel(_app_case, app_configs, workers=workers)
-    by_key = {(r["app"], r["staging_mb"], r["scheduler"]): r for r in rows}
-    for app in ("gemm", "hotspot", "spmv"):
-        a = by_key[(app, STAGING_SWEEP[0] // MB, "indexed")]
-        b = by_key[(app, STAGING_SWEEP[0] // MB, "naive")]
-        assert a["makespan_s"] == b["makespan_s"], (
-            f"indexed scheduler changed {app}'s virtual makespan: "
-            f"{a['makespan_s']} != {b['makespan_s']}")
-
-    # The compute-backend sweep runs sequentially after the app fan-out
-    # (its wall-clock points need the machine to themselves).  It
-    # asserts its own invariants: byte-identical results and
-    # bit-identical makespans.
-    backends = exec_bench.run_sweep(scale_name or exec_bench.pick_scale())
-
-    result = {
+        f"{naive.result['makespan_s']} != {indexed.result['makespan_s']}")
+    return {
         "framework_ops_scaling": {
             "moves": N_MOVES,
-            "intervals": indexed["trace_intervals"],
-            "baseline_naive_s": round(naive["wall_s"], 6),
-            "indexed_s": round(indexed["wall_s"], 6),
-            "indexed_batched_s": round(batched["wall_s"], 6),
-            "speedup": round(speedup, 2),
-            "makespan_s": indexed["makespan_s"],
+            "intervals": indexed.result["trace_intervals"],
+            "baseline_naive_s": round(naive.median, 6),
+            "indexed_s": round(indexed.median, 6),
+            "indexed_batched_s": round(timed["batched"].median, 6),
+            "speedup": round(naive.median / indexed.median, 2),
+            "makespan_s": indexed.result["makespan_s"],
             "virtual_time_identical": True,
+            "meta": {"baseline_naive_s": naive.spread(),
+                     "indexed_s": indexed.spread(),
+                     "indexed_batched_s": timed["batched"].spread()},
         },
-        "apps": rows,
-        "compute_backends": backends,
-        "meta": {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-            "workers": workers,
-            "target_speedup": TARGET_SPEEDUP,
-        },
+        "apps": _app_rows(),
+        # Runs last, alone: its threaded points need the cores to
+        # themselves.
+        "compute_backends": _backend_sweep(scale, backends),
+        "meta": {"target_speedup": TARGET_SPEEDUP},
     }
-    if write_path is not None:
-        with open(write_path, "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-    return result
 
 
 def format_table(result: dict) -> str:
@@ -211,5 +318,17 @@ def format_table(result: dict) -> str:
         lines.append(f"{row['app']:>8} staging={row['staging_mb']}MB "
                      f"[{row['scheduler']}]: {row['wall_s']}s wall, "
                      f"makespan {row['makespan_s']:.6f}s")
-    lines.append(exec_bench.format_table(result["compute_backends"]))
+    cb = result["compute_backends"]
+    head = (f"{'backend':<9} {'workers':>7} {'wall_s':>9} {'kernels':>8} "
+            f"{'dispatch_s':>11} {'merge_s':>8}")
+    lines += [f"compute backends on {cb['case']} "
+              f"({cb['meta']['cores']} cores):", head, "-" * len(head)]
+    for row in cb["cases"]:
+        lines.append(
+            f"{row['backend']:<9} {row['workers']:>7d} {row['wall_s']:>9.4f} "
+            f"{row['kernels']:>8d} {row['dispatch_s']:>11.4f} "
+            f"{row['merge_s']:>8.4f}")
+    lines.append("results byte-identical, makespans bit-identical")
+    if "skipped_reason" in cb:
+        lines.append(f"note: {cb['skipped_reason']}")
     return "\n".join(lines)

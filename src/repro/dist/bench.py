@@ -1,8 +1,8 @@
 """The distributed-scaling bench: shard one plan, scale the workers.
 
-Two sections, written as ``BENCH_distributed.json`` by
-``benchmarks/bench_distributed_scaling.py`` (or printed by
-``python -m repro dist-bench``):
+Two sections (``python -m repro experiment run distributed_scaling
+[--scale ci]`` runs them; the ``benchmarks/`` shim also checks them and
+writes ``BENCH_distributed.json``):
 
 * **equivalence** -- every paper app under
   :class:`~repro.dist.runner.DistributedScheduler` at each partition
@@ -20,18 +20,15 @@ Two sections, written as ``BENCH_distributed.json`` by
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import os
 
 import numpy as np
 
+from repro.bench.harness import scale_params
 from repro.core.scheduler import InOrderScheduler
 from repro.core.system import System
 from repro.dist.model import project_run
 from repro.dist.runner import DistributedScheduler
-from repro.errors import ConfigError
 from repro.memory.network import NETWORK_PRESETS
 from repro.memory.units import KB, MB
 from repro.topology.builders import apu_two_level
@@ -46,15 +43,6 @@ SCALES: dict[str, dict] = {
     "full": dict(eq_workers=(2, 4), ladder=(1, 2, 4, 8),
                  channel="loopback", strategy="chunk"),
 }
-
-
-def pick_scale(name: str | None = None) -> str:
-    """CLI arg beats ``REPRO_DIST_SCALE`` beats ``full``."""
-    name = name or os.environ.get("REPRO_DIST_SCALE", "full")
-    if name not in SCALES:
-        raise ConfigError(f"unknown dist-bench scale {name!r}; known: "
-                          f"{sorted(SCALES)}")
-    return name
 
 
 # -- app cases (the backend-equivalence suite's configurations) --------------
@@ -173,12 +161,14 @@ def run_scaling(scale: dict) -> dict:
     }
 
 
-def run_bench(scale_name: str) -> dict:
-    scale = SCALES[scale_name]
+def run_bench(scale: str) -> dict:
+    params = scale_params(SCALES, scale, "distributed")
     return {
-        "scale": scale_name,
-        "equivalence": run_equivalence(scale),
-        "scaling": run_scaling(scale),
+        "scale": scale,
+        "equivalence": run_equivalence(params),
+        "scaling": run_scaling(params),
+        # No wall-clock numbers: every value above is virtual.
+        "meta": {},
     }
 
 
@@ -203,27 +193,3 @@ def format_table(payload: dict) -> str:
                 f"{row['net_s']:>10.6f}")
     return "\n".join(lines)
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro dist-bench",
-        description="distributed task-graph execution bench "
-                    "(equivalence + worker-count scaling curve)")
-    parser.add_argument("--scale", choices=sorted(SCALES), default=None,
-                        help="bench scale (default: $REPRO_DIST_SCALE "
-                             "or 'full')")
-    parser.add_argument("--out", default=None,
-                        help="also write the payload as JSON")
-    args = parser.parse_args(argv)
-    payload = run_bench(pick_scale(args.scale))
-    print(format_table(payload))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -13,9 +13,9 @@ second, latencies are virtual seconds.  Every served job is verified
 bit-identical to a solo in-order run of the same spec on a fresh
 system before its buffers are released.
 
-Run as ``python -m repro serve-bench`` or through
-``benchmarks/bench_serve_throughput.py`` (which writes the committed
-``BENCH_serve.json``).
+Run as ``python -m repro experiment run serve_throughput [--scale ci]``,
+or as ``python -m repro serve-bench [--scale ci]`` for the live
+``/status`` endpoint and the SLO gate.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import sys
 import numpy as np
 
 from repro.bench import configs
+from repro.bench.harness import scale_params, write_bench
 from repro.core.system import System
-from repro.errors import ConfigError
 from repro.serve.arrivals import poisson_arrivals
 from repro.serve.job import JobSpec, JobState
 from repro.serve.quota import TenantQuota
@@ -55,15 +55,6 @@ SCALES: dict[str, dict] = {
                  sort_n=50_000, spmv_rows=1024,
                  hotspot=dict(n=128, tile=64)),
 }
-
-
-def pick_scale(name: str | None = None) -> str:
-    """CLI arg beats the ``REPRO_SERVE_SCALE`` env var beats ``full``."""
-    name = name or os.environ.get("REPRO_SERVE_SCALE", "full")
-    if name not in SCALES:
-        raise ConfigError(f"unknown serve scale {name!r}; known: "
-                          f"{sorted(SCALES)}")
-    return name
 
 
 def tenant_quotas() -> dict[str, TenantQuota]:
@@ -213,7 +204,7 @@ def run_policy(policy: str, *, scale_name: str, seed: int = 0,
     across backends.  ``board`` exposes the live service through the
     bench's status endpoint and keeps the final snapshot for SLO gates.
     """
-    scale = SCALES[scale_name]
+    scale = scale_params(SCALES, scale_name, "serve")
     system = _fresh_system(executor)
     service = JobService(system, ServeConfig(
         policy=policy, seed=seed, max_pending=scale["max_pending"],
@@ -279,22 +270,24 @@ def run_policy(policy: str, *, scale_name: str, seed: int = 0,
     }
 
 
-def run_bench(*, scale_name: str, seed: int = 0, verify: bool = True,
+def run_bench(scale: str, *, seed: int = 0, verify: bool = True,
               reports_dir: str | None = None,
               board: _StatusBoard | None = None) -> dict:
     """The full bench: every policy over the same arrival stream."""
+    params = scale_params(SCALES, scale, "serve")
     oracle = SoloOracle() if verify else None
-    scale = SCALES[scale_name]
     payload = {
         "bench": "serve_throughput",
-        "scale": scale_name,
+        "scale": scale,
         "seed": seed,
-        "arrivals": {"rate_jobs_per_s": scale["rate"],
-                     "count": scale["count"]},
-        "policies": {p: run_policy(p, scale_name=scale_name, seed=seed,
+        "arrivals": {"rate_jobs_per_s": params["rate"],
+                     "count": params["count"]},
+        "policies": {p: run_policy(p, scale_name=scale, seed=seed,
                                    oracle=oracle, reports_dir=reports_dir,
                                    board=board)
                      for p in POLICIES},
+        # No wall-clock numbers: every value here is virtual.
+        "meta": {},
     }
     fifo = payload["policies"]["fifo"]
     fair = payload["policies"]["fair"]
@@ -327,9 +320,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro serve-bench",
         description="multi-tenant serve throughput bench "
                     "(FIFO vs fair-share vs priority)")
-    parser.add_argument("--scale", choices=sorted(SCALES), default=None,
-                        help="bench scale (default: $REPRO_SERVE_SCALE "
-                             "or 'full')")
+    parser.add_argument("--scale", choices=sorted(SCALES), default="full",
+                        help="bench scale (default: full)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="BENCH_serve.json",
                         help="result path (default: ./BENCH_serve.json)")
@@ -351,7 +343,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="gate every policy's final status snapshot "
                              "on this SLO policy; any miss exits 1")
     args = parser.parse_args(argv)
-    scale_name = pick_scale(args.scale)
 
     want_status = (args.status_port is not None
                    or args.status_snapshot is not None
@@ -387,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
                                    name="repro-status-scrape")
         scraper.start()
     try:
-        payload = run_bench(scale_name=scale_name, seed=args.seed,
+        payload = run_bench(args.scale, seed=args.seed,
                             verify=not args.no_verify,
                             reports_dir=args.reports_dir, board=board)
     finally:
@@ -396,11 +387,8 @@ def main(argv: list[str] | None = None) -> int:
             scraper.join(timeout=2.0)
         if server is not None:
             server.close()
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     print(format_table(payload))
-    print(f"wrote {args.out}")
+    print(f"wrote {write_bench(args.out, payload)}")
     if args.status_snapshot is not None:
         from repro.obs.live import STATUS_SCHEMA
         doc = scraped or (board.final.get(POLICIES[-1]) if board else None)
